@@ -17,8 +17,9 @@ engine:
 Everything is engineered to cost nothing when disarmed: incrementing a
 counter is one thread-local cell update, trace/probe checks are a
 single thread-local read per statement, and instance state (WAL status,
-replica lag, admission depth) is exported through scrape-time callbacks
-instead of hot-path double bookkeeping.
+replica lag, admission depth) is read once per scrape from the same
+snapshots ``/health`` and ``/admin/stats`` serve — monotonic counts typed
+as counters, levels as gauges — instead of hot-path double bookkeeping.
 """
 
 from .metrics import (

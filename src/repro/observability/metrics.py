@@ -3,16 +3,16 @@
 Three primitives, all engineered so the *hot path* (incrementing) never
 takes a lock:
 
-* :class:`Counter` — monotonically increasing, per-thread sharded the
-  same way the endpoint's request counters are: each thread owns a cell
-  it alone mutates (``cell[0] += n`` under the GIL), a lock is taken only
-  once per (metric, thread) to register the cell, and cells of dead
-  threads are folded into a base value at read time.
-* :class:`Gauge` — a point-in-time value.  Either set explicitly
-  (last-write-wins, no lock) or backed by a callback evaluated at scrape
-  time — the export path for state that already lives elsewhere
-  (admission-gate depth, WAL status, replica lag) without double
-  bookkeeping on the hot path.
+* :class:`Counter` — monotonically increasing, per-thread sharded: each
+  thread owns a cell it alone mutates (``cell[0] += n`` under the GIL), a
+  lock is taken only once per (metric, thread) to register the cell, and
+  cells of dead threads are folded into a base value at read time.
+* :class:`Gauge` — a point-in-time value, set explicitly (last-write-wins,
+  no lock).
+* Either of the two can instead be backed by a callback evaluated at
+  scrape time (``set_function``) — the export path for state that already
+  lives elsewhere (admission-gate depth, WAL status, replica lag) without
+  double bookkeeping on the hot path.
 * :class:`Histogram` — pre-bucketed: bucket bounds are fixed at
   construction, ``observe`` is a bisect plus one sharded-cell increment.
 
@@ -130,6 +130,7 @@ class _Metric:
     """Shared child-management for labelled metrics."""
 
     kind = "untyped"
+    _fn: Optional[Callable[[], float]] = None
 
     def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()) -> None:
         self.name = name
@@ -157,6 +158,11 @@ class _Metric:
     def _make_child(self) -> "_Metric":
         raise NotImplementedError
 
+    def set_function(self, fn: Callable[[], float]) -> "_Metric":
+        """Back this counter or gauge by ``fn``, evaluated at every scrape."""
+        self._fn = fn
+        return self
+
     def _sample_groups(self) -> Iterable[Tuple[Tuple[str, ...], "_Metric"]]:
         if self.labelnames:
             with self._lock:
@@ -164,12 +170,17 @@ class _Metric:
         return [((), self)]
 
     def samples(self) -> List[Tuple[str, Sequence[str], Sequence[str], float]]:
-        """(sample name, label names, label values, value) tuples."""
-        raise NotImplementedError
+        """(sample name, label names, label values, value) tuples; one
+        per child for single-valued kinds (counter, gauge)."""
+        return [
+            (self.name, self.labelnames, key, child.value())
+            for key, child in self._sample_groups()
+        ]
 
 
 class Counter(_Metric):
-    """Monotonic counter; per-thread sharded, lock-free to increment."""
+    """Monotonic counter; per-thread sharded, lock-free to increment, or
+    backed by a scrape-time callback over a count kept elsewhere."""
 
     kind = "counter"
 
@@ -186,13 +197,9 @@ class Counter(_Metric):
         self._cells.cell()[0] += amount
 
     def value(self) -> float:
+        if self._fn is not None:
+            return float(self._fn())
         return self._cells.total()[0]
-
-    def samples(self):
-        out = []
-        for key, child in self._sample_groups():
-            out.append((self.name, self.labelnames, key, child.value()))
-        return out
 
 
 class Gauge(_Metric):
@@ -203,7 +210,6 @@ class Gauge(_Metric):
     def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()) -> None:
         super().__init__(name, help, labelnames)
         self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
 
     def _make_child(self) -> "Gauge":
         return Gauge(self.name, self.help)
@@ -211,21 +217,10 @@ class Gauge(_Metric):
     def set(self, value: float) -> None:
         self._value = float(value)
 
-    def set_function(self, fn: Callable[[], float]) -> "Gauge":
-        """Back this gauge by ``fn``, evaluated at every scrape."""
-        self._fn = fn
-        return self
-
     def value(self) -> float:
         if self._fn is not None:
             return float(self._fn())
         return self._value
-
-    def samples(self):
-        out = []
-        for key, child in self._sample_groups():
-            out.append((self.name, self.labelnames, key, child.value()))
-        return out
 
 
 class Histogram(_Metric):
@@ -282,7 +277,7 @@ class MetricsRegistry:
     The module-level :data:`REGISTRY` holds the process-wide hot-path
     metrics (request counts, latency histograms, executor row counters);
     components with per-instance state (the endpoint, a replica) build a
-    private registry of callback gauges and render both together via
+    private registry of callback counters and gauges and render both via
     :func:`render_exposition`.
     """
 

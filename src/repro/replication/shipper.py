@@ -174,12 +174,10 @@ class LogShipper:
         self._stopped.set()
         if self.min_sync_replicas > 0:
             self.db.remove_commit_hook(self._commit_barrier)
-        listener = self._listener
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
+        if self._listener is not None:
+            # shutdown() wakes the accept thread; close() alone does not
+            # on Linux, and stop would wait out the join timeout.
+            _shutdown_close(self._listener)
         self._close_conns()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)

@@ -15,8 +15,9 @@ session: update requests serialize on the backend's write-tier lock,
 while query requests run lock-free against the engine's committed MVCC
 snapshot — so the ``ThreadingHTTPServer``'s handler threads genuinely
 answer reads concurrently with each other and with at most one writer.
-Request counters are kept per handler thread (no shared lock on the hot
-path) and aggregated on read.  ``handle_update`` / ``handle_query`` /
+One route table maps each request to its handler, and every response is
+counted once, in two per-instance metric counters (per-thread cells, no
+shared lock on the hot path).  ``handle_update`` / ``handle_query`` /
 ``handle_batch`` are also callable directly (no network) so tests can
 exercise the protocol logic in isolation.
 
@@ -74,13 +75,14 @@ Observability (ISSUE 10) — the serving tier is inspectable end to end:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..deadline import Deadline, deadline_scope
 from ..errors import (
@@ -101,6 +103,8 @@ from ..observability.metrics import (
     REGISTRY,
     REQUEST_SECONDS,
     REQUESTS,
+    Counter,
+    Gauge,
     MetricsRegistry,
     render_exposition,
 )
@@ -109,7 +113,6 @@ from ..observability.tracing import (
     analyze_scope,
     annotate,
     current_request_id,
-    new_request_id,
     request_scope,
     sanitize_request_id,
     trace_scope,
@@ -121,61 +124,9 @@ from .protocol import Response
 
 __all__ = ["OntoAccessEndpoint"]
 
-
-class _ThreadCounters:
-    """Contention-free request counters.
-
-    Each handler thread owns a private ``[served, errors]`` cell
-    (registered once per thread under a lock); the hot path is two plain
-    list increments with no shared lock, so concurrent readers are never
-    reserialized just to be counted.  Aggregation sums the cells on read
-    — increments are GIL-atomic, and a torn read can at worst miss an
-    in-flight request, which the old locked counter could too (the read
-    could land just before its increment).
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-        #: (owning thread, cell) pairs for live threads; dead threads'
-        #: counts are folded into _base at the next registration so the
-        #: list stays bounded by the number of *concurrent* threads, not
-        #: connections ever served.
-        self._cells: List[tuple] = []
-        self._base = [0, 0]
-        self._register = threading.Lock()
-
-    def count(self, error: bool = False) -> None:
-        cell = getattr(self._local, "cell", None)
-        if cell is None:
-            cell = [0, 0]
-            with self._register:
-                live = []
-                for thread, other in self._cells:
-                    if thread.is_alive():
-                        live.append((thread, other))
-                    else:  # its increments are done: fold and forget
-                        self._base[0] += other[0]
-                        self._base[1] += other[1]
-                live.append((threading.current_thread(), cell))
-                self._cells = live
-            self._local.cell = cell
-        cell[0] += 1
-        if error:
-            cell[1] += 1
-
-    def _total(self, index: int) -> int:
-        with self._register:
-            return self._base[index] + sum(
-                cell[index] for _, cell in self._cells
-            )
-
-    @property
-    def served(self) -> int:
-        return self._total(0)
-
-    @property
-    def errors(self) -> int:
-        return self._total(1)
+#: Seconds between ``serve_forever``'s shutdown checks, which bounds how
+#: long :meth:`OntoAccessEndpoint.stop` waits for the accept loop.
+_STOP_POLL_S = 0.05
 
 
 class _AdmissionGate:
@@ -252,22 +203,21 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
     #: shedding must reach the client as a readable 503, not a reset.
     request_queue_size = 128
 
-    def __init__(self, addr, handler, max_connections: int, retry_after: float):
-        self._max_connections = max_connections
-        self._retry_after = max(1, int(retry_after))
+    def __init__(self, endpoint: "OntoAccessEndpoint") -> None:
+        #: the endpoint whose handlers every :class:`_Handler` dispatches to
+        self.endpoint = endpoint
         self._conn_lock = threading.Lock()
         self.live_connections = 0
         self.rejected_connections = 0
-        super().__init__(addr, handler)
+        super().__init__((endpoint.host, endpoint._requested_port), _Handler)
 
     def process_request(self, request, client_address) -> None:
         with self._conn_lock:
-            if self.live_connections >= self._max_connections:
+            reject = self.live_connections >= self.endpoint.max_connections
+            if reject:
                 self.rejected_connections += 1
-                reject = True
             else:
                 self.live_connections += 1
-                reject = False
         if reject:
             self._reject(request)
             return
@@ -285,11 +235,12 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
             b'{"error": "overloaded", '
             b'"message": "connection limit reached; retry after backoff"}\n'
         )
+        retry_after = max(1, int(self.endpoint.retry_after))
         try:
             request.sendall(
                 b"HTTP/1.1 503 Service Unavailable\r\n"
                 b"Content-Type: application/json\r\n"
-                b"Retry-After: " + str(self._retry_after).encode("ascii") + b"\r\n"
+                b"Retry-After: " + str(retry_after).encode("ascii") + b"\r\n"
                 b"Content-Length: " + str(len(body)).encode("ascii") + b"\r\n"
                 b"Connection: close\r\n"
                 b"\r\n" + body
@@ -304,6 +255,90 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
             pass  # the peer is already gone; nothing to tell it
         finally:
             self.shutdown_request(request)
+
+
+#: Exception type → response; the first matching type wins, as in an
+#: ``except`` ladder.
+_ErrorMap = Dict[type, Callable[["OntoAccessEndpoint", Exception], Response]]
+
+
+def _json_error(code: str, status: int, retry: bool = False) -> Callable:
+    """An error-map entry answering a JSON error body with ``code``;
+    ``retry`` advertises the endpoint's ``Retry-After``."""
+    return lambda e, x: protocol.error_json(
+        code, str(x), status, retry_after=e.retry_after if retry else None
+    )
+
+
+#: The write paths (``/update``, ``/batch``).
+_WRITE_ERRORS: _ErrorMap = {
+    TranslationError: lambda e, x: Response.turtle(error_graph(x), status=400),
+    SPARQLParseError: lambda e, x: Response.turtle(
+        error_graph(_parse_error(x)), status=400
+    ),
+    QueryTimeout: _json_error("timeout", 408, retry=True),
+    # Fenced/deposed primary: the write provably did not execute, so the
+    # client may safely re-route it.
+    ReadOnlyDatabaseError: _json_error("read-only", 403),
+    # Semi-sync barrier timed out: durable here, unacknowledged by the
+    # replica quorum.  NOT safe to blindly retry.
+    ReplicationError: _json_error("replication-degraded", 503, retry=True),
+    DurabilityError: _json_error("storage-degraded", 503),
+    json.JSONDecodeError: lambda e, x: Response.text(
+        f"invalid JSON body: {x}", status=400
+    ),
+}
+
+#: ``/query``, with or without ``explain=analyze``: besides a timeout,
+#: any mediator error is the client's 400.
+_QUERY_ERRORS: _ErrorMap = {
+    QueryTimeout: _json_error("timeout", 408, retry=True),
+    ReproError: lambda e, x: Response.text(f"error: {x}", status=400),
+}
+
+#: SELECT result formats in order of preference: JSON first, so a client
+#: listing both sparql-results+json and another format keeps getting the
+#: richer format it always got; XML outranks CSV/TSV for the same reason.
+_SELECT_FORMATS = (
+    (protocol.CONTENT_SPARQL_JSON, protocol.iter_select_json),
+    (protocol.CONTENT_SPARQL_XML, protocol.iter_select_xml),
+    (protocol.CONTENT_CSV, protocol.iter_select_csv),
+    (protocol.CONTENT_TSV, protocol.iter_select_tsv),
+)
+
+
+def _answers(errors: _ErrorMap) -> Callable:
+    """Answer the exceptions a handler raises through the map ``errors``."""
+
+    def wrap(method: Callable[..., Response]) -> Callable[..., Response]:
+        @functools.wraps(method)
+        def answer(self: "OntoAccessEndpoint", *args, **kwargs) -> Response:
+            try:
+                return method(self, *args, **kwargs)
+            except tuple(errors) as exc:
+                kind = next(k for k in errors if isinstance(exc, k))
+                return errors[kind](self, exc)
+
+        return answer
+
+    return wrap
+
+
+def _counted(method: Callable[..., Response]) -> Callable[..., Response]:
+    """The endpoint's one counting point, around every ``handle_*`` method
+    so HTTP and direct calls count alike.  A request counts as served on
+    entry — so ``/health`` and ``/admin/stats`` include themselves — and
+    as an error once its status is known to be >= 400."""
+
+    @functools.wraps(method)
+    def counted(self: "OntoAccessEndpoint", *args, **kwargs) -> Response:
+        self._served.inc()
+        response = method(self, *args, **kwargs)
+        if response.status >= 400:
+            self._errors.inc()
+        return response
+
+    return counted
 
 
 class OntoAccessEndpoint:
@@ -327,7 +362,6 @@ class OntoAccessEndpoint:
         promoter: Optional[Callable[[], Dict[str, Any]]] = None,
         shipper: Optional[Any] = None,
         slow_query_threshold: Optional[float] = 1.0,
-        slow_query_capacity: int = 128,
         access_log: Optional[Any] = None,
     ) -> None:
         self.mediator = mediator
@@ -346,10 +380,15 @@ class OntoAccessEndpoint:
         self.session = mediator.session()
         self.host = host
         self._requested_port = port
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional[_BoundedThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
-        #: per-thread request counters for monitoring/benchmarks
-        self._stats = _ThreadCounters()
+        #: Per-instance counts (several endpoints may share a process):
+        #: responses answered, those with status >= 400 (both counted by
+        #: ``_counted``), and responses whose streaming was cut short
+        #: (client disconnect or deadline expiry mid-stream).
+        self._served = Counter("served", "Responses answered.")
+        self._errors = Counter("errors", "Responses with status >= 400.")
+        self._aborts = Counter("aborts", "Responses cut short mid-stream.")
         # -- resilience knobs (ISSUE 6) --------------------------------
         self._gate = _AdmissionGate(max_in_flight, max_queue, queue_timeout)
         #: server-wide request budget; a client may only tighten it
@@ -358,37 +397,31 @@ class OntoAccessEndpoint:
         self.max_connections = max_connections
         #: seconds advertised in Retry-After on 503/408
         self.retry_after = retry_after
-        self._abort_lock = threading.Lock()
-        #: responses whose streaming was cut short (client disconnect or
-        #: deadline expiry mid-stream)
-        self.stream_aborts = 0
         # -- observability (ISSUE 10) ----------------------------------
         #: the primary's log shipper, when this endpoint fronts one; a
         #: promoted replica's runner assigns the new shipper here so the
         #: /metrics replication families follow the role change.
         self.shipper = shipper
         #: ring-buffered log of requests over the slow threshold
-        self.query_log = QueryLog(
-            capacity=slow_query_capacity, threshold=slow_query_threshold
-        )
+        self.query_log = QueryLog(threshold=slow_query_threshold)
         #: writable text stream for JSON access-log lines (None = off)
         self.access_log = access_log
         self._access_log_lock = threading.Lock()
 
     @property
     def requests_served(self) -> int:
-        return self._stats.served
+        return int(self._served.value())
 
     @property
     def errors_returned(self) -> int:
-        return self._stats.errors
+        return int(self._errors.value())
 
-    def _count(self, error: bool = False) -> None:
-        self._stats.count(error=error)
+    @property
+    def stream_aborts(self) -> int:
+        return int(self._aborts.value())
 
-    def _note_stream_abort(self) -> None:
-        with self._abort_lock:
-            self.stream_aborts += 1
+    def _request_counts(self) -> Dict[str, int]:
+        return {"served": self.requests_served, "errors": self.errors_returned}
 
     def serving_stats(self) -> Dict[str, Any]:
         """Admission/connection statistics for /health and the serving
@@ -396,10 +429,10 @@ class OntoAccessEndpoint:
         stats = self._gate.stats()
         stats["stream_aborts"] = self.stream_aborts
         server = self._server
-        if isinstance(server, _BoundedThreadingHTTPServer):
+        if server is not None:
             stats["live_connections"] = server.live_connections
             stats["rejected_connections"] = server.rejected_connections
-            stats["max_connections"] = server._max_connections
+            stats["max_connections"] = self.max_connections
         return stats
 
     # ------------------------------------------------------------------
@@ -407,126 +440,54 @@ class OntoAccessEndpoint:
     # ------------------------------------------------------------------
 
     def _scrape_registry(self) -> MetricsRegistry:
-        """A scrape-time snapshot of instance state as gauge samples.
+        """A scrape-time registry of this endpoint's own state.
 
         The hot paths only ever touch the process-wide counters in
         :data:`~repro.observability.metrics.REGISTRY`; everything that
-        lives on *this* endpoint (gate depths, planner cache, WAL and
-        checkpoint state, replication counters) is read here, once per
-        scrape, so serving pays nothing for it between scrapes.
+        lives on *this* endpoint is read here, once per scrape, from the
+        same snapshots ``/health`` and ``/admin/stats`` answer with, and
+        exported as the families of :data:`_SCRAPE_FAMILIES`.
         """
-        reg = MetricsRegistry()
-
-        def gauge(name: str, help_text: str, value: Any) -> None:
-            try:
-                number = float(value)
-            except (TypeError, ValueError):
-                return  # non-numeric status field: not a sample
-            reg.gauge(f"repro_{name}", help_text).set(number)
-
-        serving = self.serving_stats()
-        for key in (
-            "in_flight", "waiting", "max_in_flight", "max_queue",
-            "admitted_total", "shed_total", "stream_aborts",
-            "live_connections", "rejected_connections", "max_connections",
-        ):
-            if key in serving:
-                gauge(
-                    f"serving_{key}",
-                    f"Serving-gate statistic {key!r} (see /admin/stats).",
-                    serving[key],
-                )
-        gauge(
-            "endpoint_requests_served",
-            "Requests answered by this endpoint since start.",
-            self.requests_served,
-        )
-        gauge(
-            "endpoint_request_errors",
-            "Error responses returned by this endpoint since start.",
-            self.errors_returned,
-        )
         db = getattr(self.mediator, "db", None)
         planner = getattr(db, "planner", None)
-        if planner is not None:
-            for key, value in planner.stats.items():
-                gauge(
-                    f"plan_cache_{key}",
-                    f"Plan-cache {key} since process start.",
-                    value,
-                )
         backend = self.session.health()
-        gauge(
-            "storage_durable",
-            "1 when the store runs with a write-ahead log attached.",
-            1.0 if backend.get("durable") else 0.0,
-        )
-        for key, help_text in (
-            ("wal_refusing", "1 while the WAL refuses commits (degraded)."),
-            ("wal_bytes", "Bytes in the live write-ahead log segment."),
-            ("generation", "Checkpoint generation of the store."),
-            ("last_checkpoint_age_s", "Seconds since the last checkpoint."),
-            ("wal_appends", "WAL records appended (across rotations)."),
-            ("wal_commits", "Commit barriers reaching the WAL."),
-            ("wal_syncs", "Physical WAL flushes (group commit folds "
-                          "several commits into one)."),
-        ):
-            if backend.get(key) is not None:
-                name = key[:-2] + "_seconds" if key.endswith("_s") else key
-                gauge(name, help_text, backend[key])
-        if (
-            backend.get("wal_commits") is not None
-            and backend.get("wal_syncs") is not None
-        ):
-            gauge(
-                "wal_group_commit_riders",
-                "Commits that rode another commit's flush.",
-                backend["wal_commits"] - backend["wal_syncs"],
-            )
+        try:
+            riders = backend["wal_commits"] - backend["wal_syncs"]
+        except (KeyError, TypeError):
+            riders = None
         replica = self.replica
-        if replica is not None and hasattr(replica, "metrics"):
-            for key, value in replica.metrics().items():
-                gauge(
-                    f"replica_{key}",
-                    f"Replica statistic {key!r} (see /health).",
-                    value,
-                )
-        else:
+        replicated = hasattr(replica, "metrics")
+        snapshots: Dict[str, Dict[str, Any]] = {
+            "serving": self.serving_stats(),
+            "endpoint": self._request_counts(),
+            "plan_cache": getattr(planner, "stats", {}),
+            "backend": {**backend, "wal_group_commit_riders": riders},
             # A primary advertises role/epoch too, so dashboards track
             # failover from either side of the pair.
-            fenced = bool(getattr(db, "read_only", False))
-            gauge(
-                "replica_role_primary",
-                "1 when this endpoint serves the primary.",
-                0.0 if fenced else 1.0,
-            )
-            gauge(
-                "replica_epoch",
-                "Failover epoch of the served store.",
-                getattr(db, "epoch", 0),
-            )
-        shipper = self.shipper
-        if shipper is not None and hasattr(shipper, "metrics"):
-            for key, value in shipper.metrics().items():
-                gauge(
-                    f"shipper_{key}",
-                    f"Log-shipper statistic {key!r}.",
-                    value,
-                )
-        log = self.query_log.status()
-        gauge(
-            "slow_query_log_entries",
-            "Entries currently held in the slow-query ring buffer.",
-            log["count"],
-        )
-        if log["threshold_s"] is not None:
-            gauge(
-                "slow_query_threshold_seconds",
-                "Threshold above which a request is logged as slow.",
-                log["threshold_s"],
-            )
-        return reg
+            "primary": {} if replicated else {
+                "role_primary": not getattr(db, "read_only", False),
+                "epoch": getattr(db, "epoch", 0),
+            },
+            "replica": getattr(replica, "metrics", dict)(),
+            "shipper": getattr(self.shipper, "metrics", dict)(),
+            "slow_queries": self.query_log.status(),
+        }
+        registry = MetricsRegistry()
+        for family, help_text, snapshot, key in _SCRAPE_FAMILIES:
+            values = snapshots[snapshot]
+            for k in [key] if key else list(values):
+                name = family if key else family + k
+                try:
+                    value = float(values[k])
+                except (KeyError, TypeError, ValueError):
+                    continue  # absent here, or not a number: no sample
+                kind = Counter if name in _COUNTER_FAMILIES else Gauge
+                metric = kind(f"repro_{name}", help_text.format(key=k))
+                registry.register(metric.set_function(lambda v=value: v))
+        return registry
 
+    @_counted
+    @_answers({ReproError: _json_error("metrics-unavailable", 503)})
     def handle_metrics(self) -> Response:
         """GET /metrics: Prometheus text exposition, admission-exempt.
 
@@ -534,41 +495,33 @@ class OntoAccessEndpoint:
         injected failure maps to a 503 here — a broken or slow scrape
         can degrade monitoring, never serving.
         """
-        try:
-            text = render_exposition([REGISTRY, self._scrape_registry()])
-        except FaultError as exc:
-            self._count(error=True)
-            return protocol.error_json("metrics-unavailable", str(exc), 503)
-        except ReproError as exc:
-            self._count(error=True)
-            return protocol.error_json("metrics-unavailable", str(exc), 503)
-        self._count()
         return Response(
-            status=200, body=text, content_type=protocol.CONTENT_PROMETHEUS
+            status=200,
+            body=render_exposition([REGISTRY, self._scrape_registry()]),
+            content_type=protocol.CONTENT_PROMETHEUS,
         )
 
+    @_counted
     def handle_stats(self) -> Response:
         """GET /admin/stats: serving statistics as JSON (admission-exempt,
         like /health — saturation is exactly when you need it)."""
-        self._count()
         return Response.json(
             {
                 "serving": self.serving_stats(),
-                "requests": {
-                    "served": self.requests_served,
-                    "errors": self.errors_returned,
-                },
+                "requests": self._request_counts(),
                 "slow_queries": self.query_log.status(),
             }
         )
 
+    @_counted
     def handle_slow_queries(self) -> Response:
         """GET /admin/slow-queries: the slow-query ring, newest first."""
-        self._count()
         return Response.json(
             {**self.query_log.status(), "entries": self.query_log.snapshot()}
         )
 
+    @_counted
+    @_answers(_QUERY_ERRORS)
     def handle_query_analyze(self, body: str) -> Response:
         """``/query`` with ``explain=analyze``: execute the query with the
         operator probe armed and answer the instrumented plan instead of
@@ -576,18 +529,8 @@ class OntoAccessEndpoint:
         blocked = self._replica_gate()
         if blocked is not None:
             return blocked
-        try:
-            with analyze_scope() as probe:
-                result = self.session.query(body)
-        except QueryTimeout as exc:
-            self._count(error=True)
-            return protocol.error_json(
-                "timeout", str(exc), 408, retry_after=self.retry_after
-            )
-        except ReproError as exc:
-            self._count(error=True)
-            return Response.text(f"error: {exc}", status=400)
-        self._count()
+        with analyze_scope() as probe:
+            result = self.session.query(body)
         report = probe.report()
         if isinstance(result, bool):
             report["result"] = result
@@ -595,6 +538,12 @@ class OntoAccessEndpoint:
             report["result_rows"] = len(result.solutions)
             annotate(rows=len(result.solutions))
         return self._tag_replica(Response.json(report))
+
+    @_counted
+    def _refuse(self, response: Response) -> Response:
+        """Count a response the HTTP layer answers on its own: unknown
+        path, unreadable body, bad timeout, shed request."""
+        return response
 
     def _finish_request(
         self, op: str, status: int, trace: Dict[str, Any], total_s: float
@@ -637,19 +586,17 @@ class OntoAccessEndpoint:
     # ------------------------------------------------------------------
 
     def _request_deadline(
-        self, query_string: Optional[str], headers
+        self, params: Dict[str, List[str]], headers
     ) -> Optional[Deadline]:
         """The budget for one request: the tighter of the server default
         and any client-requested ``timeout=`` param / ``X-Request-
         Deadline`` header.  Raises ValueError on a malformed value (the
         HTTP layer answers 400)."""
         requested: List[float] = []
-        if query_string:
-            params = urllib.parse.parse_qs(query_string)
-            if "timeout" in params:
-                requested.append(
-                    _positive_seconds(params["timeout"][0], "timeout parameter")
-                )
+        if "timeout" in params:
+            requested.append(
+                _positive_seconds(params["timeout"][0], "timeout parameter")
+            )
         header = headers.get("X-Request-Deadline") if headers is not None else None
         if header is not None:
             requested.append(
@@ -672,8 +619,6 @@ class OntoAccessEndpoint:
         staleness gates lift the moment :meth:`handle_promote` returns,
         with no endpoint reconfiguration."""
         replica = self.replica
-        if replica is None:
-            return None
         if getattr(replica, "role", "replica") == "primary":
             return None
         return replica
@@ -686,7 +631,6 @@ class OntoAccessEndpoint:
         if replica is None:
             return None
         if not replica.ready:
-            self._count(error=True)
             return protocol.error_json(
                 "replica-syncing",
                 "replica has not finished bootstrap replay; retry on "
@@ -696,7 +640,6 @@ class OntoAccessEndpoint:
             )
         lag = replica.lag()
         if self.max_replica_lag is not None and lag > self.max_replica_lag:
-            self._count(error=True)
             response = protocol.error_json(
                 "replica-lagging",
                 f"replica lag {lag:.3f}s exceeds the bound of "
@@ -719,7 +662,6 @@ class OntoAccessEndpoint:
         return response
 
     def _refuse_write(self, what: str) -> Response:
-        self._count(error=True)
         return protocol.error_json(
             "read-only-replica",
             f"{what} must go to the primary; this endpoint serves a "
@@ -731,6 +673,8 @@ class OntoAccessEndpoint:
     # protocol handlers (network-independent)
     # ------------------------------------------------------------------
 
+    @_counted
+    @_answers(_WRITE_ERRORS)
     def handle_update(self, body: str) -> Response:
         """POST /update: translate + execute, answer with RDF feedback.
 
@@ -739,40 +683,13 @@ class OntoAccessEndpoint:
         """
         if self._serving_replica() is not None:
             return self._refuse_write("updates")
-        try:
-            result = self.session.prepare_update(
-                body, allow_placeholders=False
-            ).execute()
-        except TranslationError as exc:
-            self._count(error=True)
-            return Response.turtle(error_graph(exc), status=400)
-        except SPARQLParseError as exc:
-            self._count(error=True)
-            return Response.turtle(error_graph(_parse_error(exc)), status=400)
-        except QueryTimeout as exc:
-            self._count(error=True)
-            return protocol.error_json(
-                "timeout", str(exc), 408, retry_after=self.retry_after
-            )
-        except ReadOnlyDatabaseError as exc:
-            # Fenced/deposed primary: the write provably did not execute,
-            # so the client may safely re-route it (ISSUE 9).
-            self._count(error=True)
-            return protocol.error_json("read-only", str(exc), 403)
-        except ReplicationError as exc:
-            # Semi-sync barrier timed out: durable here, unacknowledged
-            # by the replica quorum.  NOT safe to blindly retry.
-            self._count(error=True)
-            return protocol.error_json(
-                "replication-degraded", str(exc), 503,
-                retry_after=self.retry_after,
-            )
-        except DurabilityError as exc:
-            self._count(error=True)
-            return protocol.error_json("storage-degraded", str(exc), 503)
-        self._count()
+        result = self.session.prepare_update(
+            body, allow_placeholders=False
+        ).execute()
         return Response.turtle(result.feedback(), status=200)
 
+    @_counted
+    @_answers(_WRITE_ERRORS)
     def handle_batch(self, body: str, content_type: Optional[str] = None) -> Response:
         """POST /batch: all operations inside one database transaction.
 
@@ -782,54 +699,25 @@ class OntoAccessEndpoint:
         """
         if self._serving_replica() is not None:
             return self._refuse_write("batches")
-        try:
-            if (
-                content_type
-                and content_type.split(";")[0].strip().lower()
-                == protocol.CONTENT_JSON
+        requests = [body]
+        if (
+            content_type
+            and content_type.split(";")[0].strip().lower()
+            == protocol.CONTENT_JSON
+        ):
+            requests = json.loads(body)
+            if not isinstance(requests, list) or not all(
+                isinstance(r, str) for r in requests
             ):
-                requests = json.loads(body)
-                if not isinstance(requests, list) or not all(
-                    isinstance(r, str) for r in requests
-                ):
-                    self._count(error=True)
-                    return Response.text(
-                        "batch body must be a JSON array of SPARQL/Update "
-                        "strings",
-                        status=400,
-                    )
-            else:
-                requests = [body]
-            result = self.session.execute_all(requests)
-        except json.JSONDecodeError as exc:
-            self._count(error=True)
-            return Response.text(f"invalid JSON body: {exc}", status=400)
-        except TranslationError as exc:
-            self._count(error=True)
-            return Response.turtle(error_graph(exc), status=400)
-        except SPARQLParseError as exc:
-            self._count(error=True)
-            return Response.turtle(error_graph(_parse_error(exc)), status=400)
-        except QueryTimeout as exc:
-            self._count(error=True)
-            return protocol.error_json(
-                "timeout", str(exc), 408, retry_after=self.retry_after
-            )
-        except ReadOnlyDatabaseError as exc:
-            self._count(error=True)
-            return protocol.error_json("read-only", str(exc), 403)
-        except ReplicationError as exc:
-            self._count(error=True)
-            return protocol.error_json(
-                "replication-degraded", str(exc), 503,
-                retry_after=self.retry_after,
-            )
-        except DurabilityError as exc:
-            self._count(error=True)
-            return protocol.error_json("storage-degraded", str(exc), 503)
-        self._count()
+                return Response.text(
+                    "batch body must be a JSON array of SPARQL/Update "
+                    "strings",
+                    status=400,
+                )
+        result = self.session.execute_all(requests)
         return Response.turtle(result.feedback(), status=200)
 
+    @_counted
     def handle_query(self, body: str, accept: Optional[str] = None) -> Response:
         """POST /query (or GET): SELECT/ASK/CONSTRUCT over the mediated
         database, content-negotiated via ``accept``.
@@ -846,9 +734,9 @@ class OntoAccessEndpoint:
             return blocked
         return self._tag_replica(self._handle_query(body, accept))
 
+    @_answers(_QUERY_ERRORS)
     def _handle_query(self, body: str, accept: Optional[str] = None) -> Response:
         if not protocol.acceptable(accept):
-            self._count(error=True)
             return protocol.error_json(
                 "not-acceptable",
                 f"cannot satisfy Accept: {accept!r}; supported result "
@@ -856,28 +744,16 @@ class OntoAccessEndpoint:
                 406,
                 supported=list(protocol.QUERY_RESULT_TYPES),
             )
-        try:
-            result = self.session.query(body)
-        except QueryTimeout as exc:
-            self._count(error=True)
-            return protocol.error_json(
-                "timeout", str(exc), 408, retry_after=self.retry_after
-            )
-        except (ReproError,) as exc:
-            self._count(error=True)
-            return Response.text(f"error: {exc}", status=400)
-        self._count()
+        result = self.session.query(body)
         if not isinstance(result, (bool, Graph)):
             annotate(rows=len(result.solutions))
-        wants_json = protocol.accepts(accept, protocol.CONTENT_SPARQL_JSON)
-        wants_xml = protocol.accepts(accept, protocol.CONTENT_SPARQL_XML)
         if isinstance(result, bool):
-            if wants_json:
+            if protocol.accepts(accept, protocol.CONTENT_SPARQL_JSON):
                 return Response.json(
                     protocol.render_ask_json(result),
                     content_type=protocol.CONTENT_SPARQL_JSON,
                 )
-            if wants_xml:
+            if protocol.accepts(accept, protocol.CONTENT_SPARQL_XML):
                 return Response(
                     status=200,
                     body=protocol.render_ask_xml(result),
@@ -886,58 +762,38 @@ class OntoAccessEndpoint:
             return Response.text("true" if result else "false")
         if isinstance(result, Graph):
             return Response.turtle(result)
-        if wants_json:
-            # JSON first: a client listing both sparql-results+json and
-            # another format keeps getting the richer format it always
-            # got; XML outranks CSV/TSV for the same reason.
-            return Response.stream(
-                protocol.iter_select_json(result),
-                protocol.CONTENT_SPARQL_JSON,
-            )
-        if wants_xml:
-            return Response.stream(
-                protocol.iter_select_xml(result),
-                protocol.CONTENT_SPARQL_XML,
-            )
-        if protocol.accepts(accept, protocol.CONTENT_CSV):
-            return Response.stream(
-                protocol.iter_select_csv(result), protocol.CONTENT_CSV
-            )
-        if protocol.accepts(accept, protocol.CONTENT_TSV):
-            return Response.stream(
-                protocol.iter_select_tsv(result), protocol.CONTENT_TSV
-            )
+        for content_type, render in _SELECT_FORMATS:
+            if protocol.accepts(accept, content_type):
+                return Response.stream(render(result), content_type)
         return Response.stream(
             protocol.iter_select_result(result), protocol.CONTENT_TEXT
         )
 
+    @_counted
     def handle_dump(self) -> Response:
         blocked = self._replica_gate()
         if blocked is not None:
             return blocked
-        self._count()
         return self._tag_replica(Response.turtle(self.session.dump()))
 
+    @_counted
+    @_answers({ReproError: lambda e, x: Response.text(f"error: {x}", status=409)})
     def handle_checkpoint(self) -> Response:
         """POST /admin/checkpoint: serialize the committed state and
         truncate the write-ahead log (no-op answer when the endpoint
         serves an in-memory database)."""
         if self._serving_replica() is not None:
             return self._refuse_write("checkpoints")
-        try:
-            path = self.session.checkpoint()
-        except ReproError as exc:
-            self._count(error=True)
-            return Response.text(f"error: {exc}", status=409)
+        path = self.session.checkpoint()
         if path is None:
-            self._count(error=True)
             return Response.json(
                 {"checkpoint": None, "error": "database has no data_dir"},
                 status=409,
             )
-        self._count()
         return Response.json({"checkpoint": path})
 
+    @_counted
+    @_answers({ReproError: _json_error("promotion-failed", 500)})
     def handle_promote(self) -> Response:
         """POST /admin/promote: promote this replica to primary (ISSUE 9).
 
@@ -950,7 +806,6 @@ class OntoAccessEndpoint:
         state was not reached — operator attention required)."""
         promoter = self.promoter
         if promoter is None:
-            self._count(error=True)
             return protocol.error_json(
                 "not-promotable",
                 "this endpoint has no promotion path; it either already "
@@ -958,37 +813,29 @@ class OntoAccessEndpoint:
                 409,
             )
         with self._promote_lock:
-            try:
-                record = promoter()
-            except ReproError as exc:
-                self._count(error=True)
-                return protocol.error_json("promotion-failed", str(exc), 500)
-        self._count()
+            record = promoter()
         return Response.json({"promoted": True, **record})
 
+    @_counted
     def handle_mapping(self) -> Response:
-        self._count()
         return Response(
             status=200,
             body=mapping_to_turtle(self.mediator.mapping),
             content_type=protocol.CONTENT_TURTLE,
         )
 
+    @_counted
     def handle_health(self) -> Response:
         """GET /health: always 200; ``status`` is ``"degraded"`` when the
         WAL is refusing commits.  Includes durability detail (sync mode,
         WAL bytes, last checkpoint age) and serving statistics."""
         backend = self.session.health()
         degraded = bool(backend.get("wal_refusing"))
-        self._count()
         doc = {
             "status": "degraded" if degraded else "ok",
             "backend": backend,
             "serving": self.serving_stats(),
-            "requests": {
-                "served": self.requests_served,
-                "errors": self.errors_returned,
-            },
+            "requests": self._request_counts(),
         }
         # Failover discovery (ISSUE 9): clients pick a new primary by
         # probing /health for role == "primary" with the highest epoch.
@@ -1007,13 +854,13 @@ class OntoAccessEndpoint:
             doc["epoch"] = getattr(db, "epoch", 0)
         return Response.json(doc)
 
+    @_counted
     def handle_ready(self) -> Response:
         """GET /ready: 200 while the endpoint can accept writes (or, on a
         replica, serve synced reads), 503 while degraded — durable store
         refusing commits, or replica bootstrap replay still running
         (load balancers drain on this)."""
         if self._serving_replica() is not None and not self.replica.ready:
-            self._count(error=True)
             return protocol.error_json(
                 "replica-syncing",
                 "replica has not finished bootstrap replay",
@@ -1023,14 +870,12 @@ class OntoAccessEndpoint:
             )
         backend = self.session.health()
         if backend.get("wal_refusing"):
-            self._count(error=True)
             return protocol.error_json(
                 "degraded",
                 "write-ahead log is refusing commits; restart the process "
                 "to recover the durable prefix",
                 503,
             )
-        self._count()
         doc: Dict[str, Any] = {"ready": True}
         if self.replica is not None:
             doc["replica"] = self.replica.status()
@@ -1053,312 +898,11 @@ class OntoAccessEndpoint:
     def start(self) -> None:
         if self._server is not None:
             return
-        endpoint = self
-
-        class Handler(BaseHTTPRequestHandler):
-            # HTTP/1.1 so streamed responses can use chunked transfer
-            # encoding (fixed-length responses still send Content-Length).
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, *args) -> None:  # keep tests quiet
-                pass
-
-            def _request_headers(self, response: Response) -> None:
-                for name, value in response.headers.items():
-                    self.send_header(name, value)
-                # Echo the request id on every response — errors too —
-                # so one id joins client retries, server logs, and the
-                # slow-query entry.
-                if "X-Request-Id" not in response.headers:
-                    rid = current_request_id()
-                    if rid:
-                        self.send_header("X-Request-Id", rid)
-
-            def _send(
-                self, response: Response, deadline: Optional[Deadline] = None
-            ) -> None:
-                if response.body_iter is not None:
-                    if self.request_version == "HTTP/1.0":
-                        # RFC 7230: no chunked framing toward a 1.0 peer;
-                        # reading .body drains the iterator into one
-                        # buffered payload sent with Content-Length.
-                        pass
-                    else:
-                        self._send_chunked(response, deadline)
-                        return
-                payload = response.body.encode("utf-8")
-                self.send_response(response.status)
-                self.send_header("Content-Type", response.content_type)
-                self._request_headers(response)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                try:
-                    self.wfile.write(payload)
-                except OSError:
-                    # Client went away mid-response: close our side; the
-                    # shared session is untouched (it already returned).
-                    endpoint._note_stream_abort()
-                    self.close_connection = True
-
-            def _send_chunked(
-                self, response: Response, deadline: Optional[Deadline] = None
-            ) -> None:
-                self.send_response(response.status)
-                self.send_header("Content-Type", response.content_type)
-                self._request_headers(response)
-                self.send_header("Transfer-Encoding", "chunked")
-                self.end_headers()
-                write = self.wfile.write
-                try:
-                    for chunk in response.body_iter:
-                        if INJECTOR.armed:
-                            INJECTOR.fire("endpoint:stream")
-                        if deadline is not None:
-                            deadline.check()
-                        data = chunk.encode("utf-8")
-                        if not data:
-                            continue  # an empty chunk would end the body
-                        write(f"{len(data):X}\r\n".encode("ascii"))
-                        write(data)
-                        write(b"\r\n")
-                    write(b"0\r\n\r\n")
-                except (QueryTimeout, FaultError, OSError):
-                    # Truncate without the terminating 0-chunk so the
-                    # client sees an aborted body, and close the
-                    # connection — never leave a desynced keep-alive.
-                    endpoint._note_stream_abort()
-                    self.close_connection = True
-
-            def _admitted(
-                self,
-                split,
-                work: Callable[[], Response],
-                op: str = "request",
-            ) -> None:
-                """Run one work request under admission control and its
-                deadline; sends the response (or the 400/503 shed).
-
-                The whole dispatch runs inside a trace scope: the phase
-                timings (queue wait, execute, serialize) and any
-                annotations from deeper layers feed one access-log line,
-                the request counters, and the slow-query tee."""
-                started = time.perf_counter()
-                with trace_scope(
-                    request_id=current_request_id(), op=op
-                ) as trace:
-                    self._admitted_traced(split, work, op, trace, started)
-
-            def _admitted_traced(
-                self, split, work, op, trace, started
-            ) -> None:
-                try:
-                    deadline = endpoint._request_deadline(
-                        split.query, self.headers
-                    )
-                except ValueError as exc:
-                    endpoint._count(error=True)
-                    trace["cause"] = "bad-timeout"
-                    self._send_traced(
-                        protocol.error_json("bad-timeout", str(exc), 400),
-                        None, op, trace, started,
-                    )
-                    return
-                admit_start = time.perf_counter()
-                admitted = endpoint._gate.admit(deadline)
-                trace["queue_wait_s"] = time.perf_counter() - admit_start
-                if not admitted:
-                    endpoint._count(error=True)
-                    trace["cause"] = "shed"
-                    self._send_traced(
-                        protocol.error_json(
-                            "overloaded",
-                            "server is at capacity; retry after backoff",
-                            503,
-                            retry_after=endpoint.retry_after,
-                        ),
-                        None, op, trace, started,
-                    )
-                    return
-                try:
-                    with deadline_scope(deadline):
-                        # Streaming happens inside both the scope and the
-                        # admission slot: serialization is request work.
-                        exec_start = time.perf_counter()
-                        response = work()
-                        trace["execute_s"] = (
-                            time.perf_counter() - exec_start
-                        )
-                        if response.status == 408:
-                            trace["cause"] = "timeout"
-                        self._send_traced(
-                            response, deadline, op, trace, started
-                        )
-                finally:
-                    endpoint._gate.release()
-
-            def _send_traced(
-                self, response, deadline, op, trace, started
-            ) -> None:
-                serialize_start = time.perf_counter()
-                self._send(response, deadline)
-                trace["serialize_s"] = time.perf_counter() - serialize_start
-                endpoint._finish_request(
-                    op, response.status, trace,
-                    time.perf_counter() - started,
-                )
-
-            def do_POST(self) -> None:
-                with request_scope(
-                    sanitize_request_id(self.headers.get("X-Request-Id"))
-                ):
-                    self._route_post()
-
-            def do_GET(self) -> None:
-                with request_scope(
-                    sanitize_request_id(self.headers.get("X-Request-Id"))
-                ):
-                    self._route_get()
-
-            def _route_post(self) -> None:
-                if "chunked" in (
-                    self.headers.get("Transfer-Encoding") or ""
-                ).lower():
-                    # Bodies are read via Content-Length only; under
-                    # HTTP/1.1 keep-alive an unread chunked payload would
-                    # desync the connection, so refuse and close instead.
-                    self.close_connection = True
-                    self._send(
-                        Response.text(
-                            "chunked request bodies are not supported; "
-                            "send Content-Length",
-                            status=411,
-                        )
-                    )
-                    return
-                length_header = self.headers.get("Content-Length", "0")
-                try:
-                    length = int(length_header)
-                except ValueError:
-                    self.close_connection = True
-                    self._send(
-                        protocol.error_json(
-                            "bad-request",
-                            f"invalid Content-Length: {length_header!r}",
-                            400,
-                        )
-                    )
-                    return
-                if length > endpoint.max_body_bytes:
-                    # The body is never read: close the connection rather
-                    # than resynchronize by swallowing it.
-                    endpoint._count(error=True)
-                    self.close_connection = True
-                    self._send(
-                        protocol.error_json(
-                            "body-too-large",
-                            f"request body of {length} bytes exceeds the "
-                            f"limit of {endpoint.max_body_bytes} bytes",
-                            413,
-                        )
-                    )
-                    return
-                body = self.rfile.read(length).decode("utf-8")
-                split = urllib.parse.urlsplit(self.path)
-                accept = self.headers.get("Accept")
-                content_type = self.headers.get("Content-Type")
-                if split.path == protocol.UPDATE_PATH:
-                    self._admitted(
-                        split,
-                        lambda: endpoint.handle_update(body),
-                        op="update",
-                    )
-                elif split.path == protocol.QUERY_PATH:
-                    params = urllib.parse.parse_qs(split.query)
-                    if params.get("explain") == ["analyze"]:
-                        self._admitted(
-                            split,
-                            lambda: endpoint.handle_query_analyze(body),
-                            op="query",
-                        )
-                        return
-                    self._admitted(
-                        split,
-                        lambda: endpoint.handle_query(body, accept=accept),
-                        op="query",
-                    )
-                elif split.path == protocol.BATCH_PATH:
-                    self._admitted(
-                        split,
-                        lambda: endpoint.handle_batch(
-                            body, content_type=content_type
-                        ),
-                        op="batch",
-                    )
-                elif split.path == protocol.CHECKPOINT_PATH:
-                    self._send(endpoint.handle_checkpoint())
-                elif split.path == protocol.PROMOTE_PATH:
-                    # Promotion bypasses admission: it must run exactly
-                    # when the cluster is degraded and load is shedding.
-                    self._send(endpoint.handle_promote())
-                else:
-                    self._send(Response.text("not found", status=404))
-
-            def _route_get(self) -> None:
-                split = urllib.parse.urlsplit(self.path)
-                if split.path == protocol.HEALTH_PATH:
-                    # Health/readiness bypass admission: a probe must
-                    # answer precisely when the server is saturated.
-                    self._send(endpoint.handle_health())
-                elif split.path == protocol.READY_PATH:
-                    self._send(endpoint.handle_ready())
-                elif split.path == protocol.METRICS_PATH:
-                    # /metrics bypasses admission like the probes — a
-                    # saturated (or degraded) server must still scrape.
-                    self._send(endpoint.handle_metrics())
-                elif split.path == protocol.STATS_PATH:
-                    self._send(endpoint.handle_stats())
-                elif split.path == protocol.SLOW_QUERIES_PATH:
-                    self._send(endpoint.handle_slow_queries())
-                elif split.path == protocol.DUMP_PATH:
-                    self._admitted(split, endpoint.handle_dump, op="dump")
-                elif split.path == protocol.MAPPING_PATH:
-                    self._send(endpoint.handle_mapping())
-                elif split.path == protocol.QUERY_PATH:
-                    # SPARQL Protocol: GET /query?query=<urlencoded>
-                    params = urllib.parse.parse_qs(split.query)
-                    queries = params.get("query")
-                    if not queries:
-                        endpoint._count(error=True)
-                        self._send(
-                            Response.text("missing query parameter", status=400)
-                        )
-                        return
-                    if params.get("explain") == ["analyze"]:
-                        self._admitted(
-                            split,
-                            lambda: endpoint.handle_query_analyze(queries[0]),
-                            op="query",
-                        )
-                        return
-                    accept = self.headers.get("Accept")
-                    self._admitted(
-                        split,
-                        lambda: endpoint.handle_query(
-                            queries[0], accept=accept
-                        ),
-                        op="query",
-                    )
-                else:
-                    self._send(Response.text("not found", status=404))
-
-        self._server = _BoundedThreadingHTTPServer(
-            (self.host, self._requested_port),
-            Handler,
-            max_connections=self.max_connections,
-            retry_after=self.retry_after,
-        )
+        self._server = _BoundedThreadingHTTPServer(self)
         self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": _STOP_POLL_S},
+            daemon=True,
         )
         self._thread.start()
 
@@ -1375,6 +919,310 @@ class OntoAccessEndpoint:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One HTTP connection: frames requests, looks each up in
+    :data:`_ROUTES`, and writes the answer.  It reaches its endpoint
+    through ``self.server.endpoint``."""
+
+    # HTTP/1.1 so streamed responses can use chunked transfer
+    # encoding (fixed-length responses still send Content-Length).
+    protocol_version = "HTTP/1.1"
+    server: _BoundedThreadingHTTPServer
+
+    def log_message(self, *args) -> None:  # keep tests quiet
+        pass
+
+    def _dispatch(self) -> None:
+        method = self.command
+        with request_scope(
+            sanitize_request_id(self.headers.get("X-Request-Id"))
+        ):
+            # The body is read (or refused) before routing, so even a 404
+            # leaves a keep-alive connection in sync.
+            self.body = self._read_body() if method == "POST" else ""
+            if self.body is None:
+                return
+            split = urllib.parse.urlsplit(self.path)
+            self.params = urllib.parse.parse_qs(split.query)
+            route = _ROUTES.get((method, split.path), _NOT_FOUND)
+            if route[0] is _query and method == "GET" and "query" not in self.params:
+                route = _MISSING_QUERY  # a protocol error: refused unadmitted
+            handler, admitted, op = route
+            if admitted:
+                self._admitted(handler, op)
+            else:
+                self._send(handler(self.server.endpoint, self))
+
+    do_GET = do_POST = _dispatch
+
+    def _read_body(self) -> Optional[str]:
+        """The request body, or None once it has been refused.
+
+        Bodies are read via Content-Length only.  A refused body is never
+        read, so the connection is closed rather than resynchronized by
+        swallowing it — under HTTP/1.1 keep-alive an unread payload
+        (chunked, or of unknown or excessive length) would desync it.
+        """
+        endpoint = self.server.endpoint
+        length_header = self.headers.get("Content-Length", "0")
+        if "chunked" in (self.headers.get("Transfer-Encoding") or "").lower():
+            refusal = Response.text(
+                "chunked request bodies are not supported; "
+                "send Content-Length",
+                status=411,
+            )
+        else:
+            try:
+                length = int(length_header)
+            except ValueError:
+                refusal = protocol.error_json(
+                    "bad-request",
+                    f"invalid Content-Length: {length_header!r}",
+                    400,
+                )
+            else:
+                if length <= endpoint.max_body_bytes:
+                    return self.rfile.read(length).decode("utf-8")
+                refusal = protocol.error_json(
+                    "body-too-large",
+                    f"request body of {length} bytes exceeds the "
+                    f"limit of {endpoint.max_body_bytes} bytes",
+                    413,
+                )
+        self.close_connection = True
+        self._send(endpoint._refuse(refusal))
+        return None
+
+    def _admitted(self, handler: "_RouteHandler", op: str) -> None:
+        """Run one work request under admission control and its
+        deadline; sends the response (or the 400/503 refusal).
+
+        The whole dispatch runs inside a trace scope: the phase
+        timings (queue wait, execute, serialize) and any annotations
+        from deeper layers feed one access-log line, the request
+        counters, and the slow-query tee."""
+        endpoint = self.server.endpoint
+        started = time.perf_counter()
+        with trace_scope(request_id=current_request_id(), op=op) as trace:
+            try:
+                deadline = endpoint._request_deadline(self.params, self.headers)
+            except ValueError as exc:
+                trace["cause"] = "bad-timeout"
+                refusal = protocol.error_json("bad-timeout", str(exc), 400)
+            else:
+                admit_start = time.perf_counter()
+                admitted = endpoint._gate.admit(deadline)
+                trace["queue_wait_s"] = time.perf_counter() - admit_start
+                if admitted:
+                    try:
+                        self._execute(handler, deadline, op, trace, started)
+                    finally:
+                        endpoint._gate.release()
+                    return
+                trace["cause"] = "shed"
+                refusal = protocol.error_json(
+                    "overloaded",
+                    "server is at capacity; retry after backoff",
+                    503,
+                    retry_after=endpoint.retry_after,
+                )
+            self._send_traced(
+                endpoint._refuse(refusal), None, op, trace, started
+            )
+
+    def _execute(self, handler, deadline, op, trace, started) -> None:
+        with deadline_scope(deadline):
+            # Streaming happens inside both the scope and the admission
+            # slot: serialization is request work.
+            exec_start = time.perf_counter()
+            response = handler(self.server.endpoint, self)
+            trace["execute_s"] = time.perf_counter() - exec_start
+            if response.status == 408:
+                trace["cause"] = "timeout"
+            self._send_traced(response, deadline, op, trace, started)
+
+    def _send_traced(self, response, deadline, op, trace, started) -> None:
+        serialize_start = time.perf_counter()
+        self._send(response, deadline)
+        trace["serialize_s"] = time.perf_counter() - serialize_start
+        self.server.endpoint._finish_request(
+            op, response.status, trace, time.perf_counter() - started
+        )
+
+    def _request_headers(self, response: Response) -> None:
+        for name, value in response.headers.items():
+            self.send_header(name, value)
+        # Echo the request id on every response — errors too — so one id
+        # joins client retries, server logs, and the slow-query entry.
+        if "X-Request-Id" not in response.headers:
+            rid = current_request_id()
+            if rid:
+                self.send_header("X-Request-Id", rid)
+
+    def _send(
+        self, response: Response, deadline: Optional[Deadline] = None
+    ) -> None:
+        if response.body_iter is not None:
+            if self.request_version == "HTTP/1.0":
+                # RFC 7230: no chunked framing toward a 1.0 peer;
+                # reading .body drains the iterator into one
+                # buffered payload sent with Content-Length.
+                pass
+            else:
+                self._send_chunked(response, deadline)
+                return
+        payload = response.body.encode("utf-8")
+        self.send_response(response.status)
+        self.send_header("Content-Type", response.content_type)
+        self._request_headers(response)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        try:
+            self.wfile.write(payload)
+        except OSError:
+            # Client went away mid-response: close our side; the
+            # shared session is untouched (it already returned).
+            self.server.endpoint._aborts.inc()
+            self.close_connection = True
+
+    def _send_chunked(
+        self, response: Response, deadline: Optional[Deadline] = None
+    ) -> None:
+        self.send_response(response.status)
+        self.send_header("Content-Type", response.content_type)
+        self._request_headers(response)
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        write = self.wfile.write
+        try:
+            for chunk in response.body_iter:
+                if INJECTOR.armed:
+                    INJECTOR.fire("endpoint:stream")
+                if deadline is not None:
+                    deadline.check()
+                data = chunk.encode("utf-8")
+                if not data:
+                    continue  # an empty chunk would end the body
+                write(f"{len(data):X}\r\n".encode("ascii"))
+                write(data)
+                write(b"\r\n")
+            write(b"0\r\n\r\n")
+        except (QueryTimeout, FaultError, OSError):
+            # Truncate without the terminating 0-chunk so the
+            # client sees an aborted body, and close the
+            # connection — never leave a desynced keep-alive.
+            self.server.endpoint._aborts.inc()
+            self.close_connection = True
+
+
+_RouteHandler = Callable[[OntoAccessEndpoint, _Handler], Response]
+
+
+def _query(endpoint: OntoAccessEndpoint, request: _Handler) -> Response:
+    """``/query`` over GET and POST alike: the text is the POST body or the
+    SPARQL Protocol's ``query`` parameter; ``explain=analyze`` answers the
+    instrumented plan instead of the result rows."""
+    params = request.params
+    text = request.body if request.command == "POST" else params["query"][0]
+    if params.get("explain") == ["analyze"]:
+        return endpoint.handle_query_analyze(text)
+    return endpoint.handle_query(text, accept=request.headers.get("Accept"))
+
+
+#: ``(method, path) → (handler, admitted?, op)``.  Admitted routes run
+#: under the admission gate, a deadline and a trace scope named ``op``.
+#: Probes, monitoring and admin actions bypass admission: they must
+#: answer exactly when the server is saturated or degraded.
+_ROUTES: Dict[Tuple[str, str], Tuple[_RouteHandler, bool, Optional[str]]] = {
+    ("POST", protocol.UPDATE_PATH): (
+        lambda e, r: e.handle_update(r.body), True, "update"),
+    ("POST", protocol.BATCH_PATH): (lambda e, r: e.handle_batch(
+        r.body, content_type=r.headers.get("Content-Type")), True, "batch"),
+    ("POST", protocol.QUERY_PATH): (_query, True, "query"),
+    ("GET", protocol.QUERY_PATH): (_query, True, "query"),
+    ("GET", protocol.DUMP_PATH): (lambda e, r: e.handle_dump(), True, "dump"),
+    ("POST", protocol.CHECKPOINT_PATH): (
+        lambda e, r: e.handle_checkpoint(), False, None),
+    ("POST", protocol.PROMOTE_PATH): (lambda e, r: e.handle_promote(), False, None),
+    ("GET", protocol.HEALTH_PATH): (lambda e, r: e.handle_health(), False, None),
+    ("GET", protocol.READY_PATH): (lambda e, r: e.handle_ready(), False, None),
+    ("GET", protocol.METRICS_PATH): (lambda e, r: e.handle_metrics(), False, None),
+    ("GET", protocol.STATS_PATH): (lambda e, r: e.handle_stats(), False, None),
+    ("GET", protocol.SLOW_QUERIES_PATH): (
+        lambda e, r: e.handle_slow_queries(), False, None),
+    ("GET", protocol.MAPPING_PATH): (lambda e, r: e.handle_mapping(), False, None),
+}
+_NOT_FOUND = (lambda e, r: e._refuse(Response.text("not found", 404)), False, None)
+_MISSING_QUERY = (
+    lambda e, r: e._refuse(Response.text("missing query parameter", 400)), False, None
+)
+
+
+#: Instance families that only ever grow, exported as TYPE counter; every
+#: other family of :data:`_SCRAPE_FAMILIES` is a gauge.
+_COUNTER_FAMILIES = frozenset((
+    "serving_admitted_total", "serving_shed_total", "serving_stream_aborts",
+    "serving_rejected_connections",
+    "endpoint_requests_served", "endpoint_request_errors",
+    "plan_cache_hits", "plan_cache_misses", "plan_cache_invalidations",
+    "wal_appends", "wal_commits", "wal_syncs", "wal_group_commit_riders",
+    "replica_connects", "replica_frames_applied", "replica_snapshots_loaded",
+    "replica_wire_errors", "replica_fenced_messages", "replica_acks_sent",
+    "shipper_connections_served", "shipper_snapshots_sent",
+    "shipper_frames_shipped", "shipper_barrier_timeouts",
+))
+
+#: The instance families of ``/metrics`` in exposition order, as
+#: ``(family, help, snapshot, key)``: the sample is ``key`` of the named
+#: snapshot taken by :meth:`OntoAccessEndpoint._scrape_registry`, and a
+#: missing or non-numeric value leaves the family out of the scrape.  A
+#: row without a key exports every entry of its snapshot, as ``family``
+#: + entry name, with the entry name formatted into the help text.
+_SCRAPE_FAMILIES = (
+    ("serving_", "Serving-gate statistic {key!r} (see /admin/stats).",
+     "serving", None),
+    ("endpoint_requests_served",
+     "Requests answered by this endpoint since start.", "endpoint", "served"),
+    ("endpoint_request_errors",
+     "Error responses returned by this endpoint since start.",
+     "endpoint", "errors"),
+    ("plan_cache_", "Plan-cache {key} since process start.",
+     "plan_cache", None),
+    ("storage_durable",
+     "1 when the store runs with a write-ahead log attached.",
+     "backend", "durable"),
+    ("wal_refusing", "1 while the WAL refuses commits (degraded).",
+     "backend", "wal_refusing"),
+    ("wal_bytes", "Bytes in the live write-ahead log segment.",
+     "backend", "wal_bytes"),
+    ("generation", "Checkpoint generation of the store.",
+     "backend", "generation"),
+    ("last_checkpoint_age_seconds", "Seconds since the last checkpoint.",
+     "backend", "last_checkpoint_age_s"),
+    ("wal_appends", "WAL records appended (across rotations).",
+     "backend", "wal_appends"),
+    ("wal_commits", "Commit barriers reaching the WAL.",
+     "backend", "wal_commits"),
+    ("wal_syncs",
+     "Physical WAL flushes (group commit folds several commits into one).",
+     "backend", "wal_syncs"),
+    ("wal_group_commit_riders", "Commits that rode another commit's flush.",
+     "backend", "wal_group_commit_riders"),
+    ("replica_role_primary", "1 when this endpoint serves the primary.",
+     "primary", "role_primary"),
+    ("replica_epoch", "Failover epoch of the served store.",
+     "primary", "epoch"),
+    ("replica_", "Replica statistic {key!r} (see /health).", "replica", None),
+    ("shipper_", "Log-shipper statistic {key!r}.", "shipper", None),
+    ("slow_query_log_entries",
+     "Entries currently held in the slow-query ring buffer.",
+     "slow_queries", "count"),
+    ("slow_query_threshold_seconds",
+     "Threshold above which a request is logged as slow.",
+     "slow_queries", "threshold_s"),
+)
 
 
 def _positive_seconds(text: str, what: str) -> float:
