@@ -3,7 +3,7 @@
 One subsystem, three concerns, threaded through every layer of the
 engine:
 
-* :mod:`repro.observability.metrics` — lock-cheap Counter / Gauge /
+* :mod:`repro.observability.metrics` — lock-cheap Counter and
   Histogram primitives (per-thread sharding, pre-bucketed latency
   histograms) behind a registry with Prometheus text exposition; the
   endpoint serves it at ``GET /metrics``.
@@ -17,14 +17,14 @@ engine:
 Everything is engineered to cost nothing when disarmed: incrementing a
 counter is one thread-local cell update, trace/probe checks are a
 single thread-local read per statement, and instance state (WAL status,
-replica lag, admission depth) is read once per scrape from the same
-snapshots ``/health`` and ``/admin/stats`` serve — monotonic counts typed
-as counters, levels as gauges — instead of hot-path double bookkeeping.
+replica lag, admission depth) is read once per request into the one
+gather ``/health``, ``/ready``, ``/admin/stats`` and ``/metrics`` render —
+monotonic counts typed as counters, levels as gauges — instead of
+hot-path double bookkeeping.
 """
 
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
@@ -48,7 +48,6 @@ from .tracing import (
 __all__ = [
     "AnalyzeProbe",
     "Counter",
-    "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
     "MetricsRegistry",

@@ -1,18 +1,12 @@
 """Process-wide metrics registry with Prometheus text exposition (ISSUE 10).
 
-Three primitives, all engineered so the *hot path* (incrementing) never
+Two primitives, both engineered so the *hot path* (incrementing) never
 takes a lock:
 
 * :class:`Counter` — monotonically increasing, per-thread sharded: each
   thread owns a cell it alone mutates (``cell[0] += n`` under the GIL), a
   lock is taken only once per (metric, thread) to register the cell, and
   cells of dead threads are folded into a base value at read time.
-* :class:`Gauge` — a point-in-time value, set explicitly (last-write-wins,
-  no lock).
-* Either of the two can instead be backed by a callback evaluated at
-  scrape time (``set_function``) — the export path for state that already
-  lives elsewhere (admission-gate depth, WAL status, replica lag) without
-  double bookkeeping on the hot path.
 * :class:`Histogram` — pre-bucketed: bucket bounds are fixed at
   construction, ``observe`` is a bisect plus one sharded-cell increment.
 
@@ -20,7 +14,9 @@ Labelled children are created once (under a lock) and cached; steady
 state is a dict hit.  Rendering walks the registry and produces the
 Prometheus text format (``# HELP`` / ``# TYPE`` / samples), which
 :func:`lint_exposition` can check — the same linter CI runs against a
-live ``/metrics`` scrape.
+live ``/metrics`` scrape.  State that lives on a component (gate depth,
+WAL status, replica lag) is never registered: the scrape reads it once
+and hands :func:`render_exposition` plain single-sample families.
 
 The scrape itself fires the ``obs:export`` fault-injection site so the
 chaos suite can prove a failing or slow exporter never stalls or poisons
@@ -33,13 +29,12 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..faults import INJECTOR
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
@@ -130,7 +125,6 @@ class _Metric:
     """Shared child-management for labelled metrics."""
 
     kind = "untyped"
-    _fn: Optional[Callable[[], float]] = None
 
     def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()) -> None:
         self.name = name
@@ -158,11 +152,6 @@ class _Metric:
     def _make_child(self) -> "_Metric":
         raise NotImplementedError
 
-    def set_function(self, fn: Callable[[], float]) -> "_Metric":
-        """Back this counter or gauge by ``fn``, evaluated at every scrape."""
-        self._fn = fn
-        return self
-
     def _sample_groups(self) -> Iterable[Tuple[Tuple[str, ...], "_Metric"]]:
         if self.labelnames:
             with self._lock:
@@ -179,8 +168,7 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """Monotonic counter; per-thread sharded, lock-free to increment, or
-    backed by a scrape-time callback over a count kept elsewhere."""
+    """Monotonic counter; per-thread sharded, lock-free to increment."""
 
     kind = "counter"
 
@@ -197,30 +185,7 @@ class Counter(_Metric):
         self._cells.cell()[0] += amount
 
     def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
         return self._cells.total()[0]
-
-
-class Gauge(_Metric):
-    """Point-in-time value: set explicitly or computed at scrape time."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()) -> None:
-        super().__init__(name, help, labelnames)
-        self._value = 0.0
-
-    def _make_child(self) -> "Gauge":
-        return Gauge(self.name, self.help)
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        return self._value
 
 
 class Histogram(_Metric):
@@ -272,13 +237,13 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """An ordered collection of metrics with a text exposition renderer.
+    """An ordered collection of metrics, rendered by :func:`render_exposition`.
 
     The module-level :data:`REGISTRY` holds the process-wide hot-path
-    metrics (request counts, latency histograms, executor row counters);
-    components with per-instance state (the endpoint, a replica) build a
-    private registry of callback counters and gauges and render both via
-    :func:`render_exposition`.
+    metrics (request counts, latency histograms, executor row counters).
+    Per-instance state (the endpoint's gate, the WAL, a replica) is not
+    registered: the endpoint renders it after the registry from one
+    snapshot per scrape, via ``families`` of :func:`render_exposition`.
     """
 
     def __init__(self) -> None:
@@ -301,9 +266,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str, labelnames: Sequence[str] = ()) -> Counter:
         return self.register(Counter(name, help, labelnames))  # type: ignore[return-value]
 
-    def gauge(self, name: str, help: str, labelnames: Sequence[str] = ()) -> Gauge:
-        return self.register(Gauge(name, help, labelnames))  # type: ignore[return-value]
-
     def histogram(
         self,
         name: str,
@@ -317,29 +279,35 @@ class MetricsRegistry:
         with self._lock:
             return list(self._metrics.values())
 
-    def render(self) -> str:
-        return render_exposition([self])
 
-
-def render_exposition(registries: Sequence[MetricsRegistry]) -> str:
-    """Prometheus text format over one or more registries.
+def render_exposition(
+    registries: Sequence[MetricsRegistry],
+    families: Iterable[Tuple[str, str, str, float]] = (),
+) -> str:
+    """Prometheus text format over one or more registries, followed by
+    ``families``: unlabelled single-sample families given as ``(name,
+    help, kind, value)``, for values read elsewhere.
 
     Fires the ``obs:export`` fault site first: an armed error rule makes
-    the whole scrape fail *here*, before any state is touched, so the
+    the whole scrape fail *here*, before anything is rendered, so the
     endpoint can prove export failures are isolated from serving.
     """
     if INJECTOR.armed:
         INJECTOR.fire("obs:export")
+    exported = [
+        (m.name, m.help, m.kind, m.samples())
+        for registry in registries for m in registry.metrics()
+    ]
+    exported += [(n, h, k, [(n, (), (), v)]) for n, h, k, v in families]
     lines: List[str] = []
-    for registry in registries:
-        for metric in registry.metrics():
-            lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            for name, labelnames, labelvalues, value in metric.samples():
-                lines.append(
-                    f"{name}{_labels_text(labelnames, labelvalues)} "
-                    f"{_format_value(value)}"
-                )
+    for family, help, kind, samples in exported:
+        lines.append(f"# HELP {family} {help}")
+        lines.append(f"# TYPE {family} {kind}")
+        for name, labelnames, labelvalues, value in samples:
+            lines.append(
+                f"{name}{_labels_text(labelnames, labelvalues)} "
+                f"{_format_value(value)}"
+            )
     return "\n".join(lines) + "\n"
 
 

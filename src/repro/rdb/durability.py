@@ -880,17 +880,15 @@ class DurabilityManager:
         wal = self._wal
         return wal is not None and wal._failed
 
-    def last_checkpoint_age(self) -> Optional[float]:
-        """Seconds since the newest checkpoint, or None before the first."""
-        if self.last_checkpoint_time is None:
-            return None
-        return max(0.0, time.time() - self.last_checkpoint_time)
-
-    def wal_counters(self) -> Dict[str, int]:
-        """Cumulative WAL work across segment rotations (ISSUE 10):
-        records appended, commits that waited for durability, and device
-        flushes performed.  ``commits - syncs`` is how many commits rode
-        a shared group-commit flush."""
+    def status(self) -> Dict[str, Any]:
+        """Durability state for /health and /metrics: WAL refusing mode,
+        the seconds since the newest checkpoint (None before the first),
+        and cumulative WAL work across segment rotations — records
+        appended, commits that waited for durability, device flushes,
+        and the commits that rode another commit's group-commit flush."""
+        age = None
+        if self.last_checkpoint_time is not None:
+            age = max(0.0, time.time() - self.last_checkpoint_time)
         appends, commits, syncs = self._wal_counter_base
         wal = self._wal
         if wal is not None:
@@ -898,23 +896,17 @@ class DurabilityManager:
             commits += wal.commit_count
             syncs += wal.sync_count
         return {
-            "wal_appends": appends,
-            "wal_commits": commits,
-            "wal_syncs": syncs,
-        }
-
-    def status(self) -> Dict[str, Any]:
-        """Machine-readable durability state for /health (ISSUE 6)."""
-        age = self.last_checkpoint_age()
-        return {
             "durable": True,
             "sync_mode": self.sync_mode,
             "wal_refusing": self.wal_refusing,
             "wal_bytes": self.wal_size(),
             "generation": self.generation,
             "epoch": self.epoch,
-            "last_checkpoint_age_s": None if age is None else round(age, 3),
-            **self.wal_counters(),
+            "last_checkpoint_age_s": age,
+            "wal_appends": appends,
+            "wal_commits": commits,
+            "wal_syncs": syncs,
+            "wal_group_commit_riders": commits - syncs,
         }
 
 

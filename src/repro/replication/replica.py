@@ -419,7 +419,9 @@ class Replica:
             return self._promotion
 
     def status(self) -> Dict[str, Any]:
-        """Machine-readable replication state for /health and /ready."""
+        """Replication state for /health, /ready and /metrics.  ``lag_s``
+        and ``silence_s`` are raw seconds, ``inf`` while never synced or
+        never heard from."""
         lag = self.lag()
         silence = self.silence()
         with self._lock:
@@ -431,8 +433,8 @@ class Replica:
             "primary": f"{self.primary_address[0]}:{self.primary_address[1]}",
             "connected": self._connected,
             "ready": self.ready,
-            "lag_s": None if math.isinf(lag) else round(lag, 3),
-            "silence_s": None if math.isinf(silence) else round(silence, 3),
+            "lag_s": lag,
+            "silence_s": silence,
             "applied": applied,
             "watermark": watermark,
             "connects": self.connects,
@@ -440,29 +442,7 @@ class Replica:
             "snapshots_loaded": self.snapshots_loaded,
             "wire_errors": self.wire_errors,
             "fenced_messages": self.fenced_messages,
-        }
-
-    def metrics(self) -> Dict[str, float]:
-        """Numeric samples for the /metrics exposition.
-
-        Unlike :meth:`status` every value is a float and ``inf`` is kept
-        as ``inf`` (Prometheus renders ``+Inf``) rather than ``None``, so
-        a never-synced replica scrapes as unbounded lag instead of a
-        missing series.
-        """
-        return {
-            "role_primary": 1.0 if self._role == "primary" else 0.0,
-            "epoch": float(self._epoch),
-            "connected": 1.0 if self._connected else 0.0,
-            "ready": 1.0 if self.ready else 0.0,
-            "lag_seconds": self.lag(),
-            "silence_seconds": self.silence(),
-            "connects": float(self.connects),
-            "frames_applied": float(self.frames_applied),
-            "snapshots_loaded": float(self.snapshots_loaded),
-            "wire_errors": float(self.wire_errors),
-            "fenced_messages": float(self.fenced_messages),
-            "acks_sent": float(self.acks_sent),
+            "acks_sent": self.acks_sent,
         }
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import (
     DurabilityError,
@@ -140,18 +140,18 @@ class LogShipper:
     def epoch(self) -> int:
         return self.manager.epoch
 
-    def metrics(self) -> Dict[str, float]:
-        """Numeric samples for the /metrics exposition."""
+    def status(self) -> Dict[str, Any]:
+        """Shipping state for /metrics: epoch, fencing, fan-out, traffic."""
         with self._lock:
             live = len(self._conns)
         return {
-            "epoch": float(self.epoch),
-            "fenced": 1.0 if self.fenced else 0.0,
-            "replicas_connected": float(live),
-            "connections_served": float(self.connections_served),
-            "snapshots_sent": float(self.snapshots_sent),
-            "frames_shipped": float(self.frames_shipped),
-            "barrier_timeouts": float(self.barrier_timeouts),
+            "epoch": self.epoch,
+            "fenced": self.fenced,
+            "replicas_connected": live,
+            "connections_served": self.connections_served,
+            "snapshots_sent": self.snapshots_sent,
+            "frames_shipped": self.frames_shipped,
+            "barrier_timeouts": self.barrier_timeouts,
         }
 
     # -- lifecycle ------------------------------------------------------

@@ -55,11 +55,17 @@ read side of WAL-shipping replication:
 
 Observability (ISSUE 10) — the serving tier is inspectable end to end:
 
-* ``GET /metrics`` renders the process-wide metric registry plus a
-  scrape-time snapshot of the endpoint's own state (gate, planner
-  cache, WAL/checkpoint, replication) in the Prometheus text format.
-  Like the probes it bypasses admission, and a failing exposition
-  (chaos site ``obs:export``) maps to a 503 without touching serving.
+* Every stateful component (admission gate, plan cache, durable
+  store, replica, log shipper, slow-query ring) has one snapshot of raw
+  values.  :meth:`OntoAccessEndpoint._state` reads them all once per
+  request, and ``/health``, ``/ready``, ``/admin/stats`` and
+  ``/metrics`` are renderers over that one gather: the JSON renderer
+  maps non-finite floats (an ``inf`` lag) to ``null``, the exposition
+  renderer turns the :data:`_SCRAPE_FAMILIES` table into families.
+* ``GET /metrics`` renders the process-wide metric registry, then the
+  endpoint's own state, in the Prometheus text format.  Like the probes
+  it bypasses admission, and a failing exposition (chaos site
+  ``obs:export``) maps to a 503 without touching serving.
 * Every request carries an ``X-Request-Id`` (caller-supplied or
   generated) that is installed thread-local for the whole dispatch, so
   it appears in the access-log line, the slow-query entry, and the
@@ -104,8 +110,6 @@ from ..observability.metrics import (
     REQUEST_SECONDS,
     REQUESTS,
     Counter,
-    Gauge,
-    MetricsRegistry,
     render_exposition,
 )
 from ..observability.querylog import QueryLog
@@ -420,9 +424,6 @@ class OntoAccessEndpoint:
     def stream_aborts(self) -> int:
         return int(self._aborts.value())
 
-    def _request_counts(self) -> Dict[str, int]:
-        return {"served": self.requests_served, "errors": self.errors_returned}
-
     def serving_stats(self) -> Dict[str, Any]:
         """Admission/connection statistics for /health and the serving
         benchmark: in-flight, queue depth, shed and reject totals."""
@@ -439,65 +440,53 @@ class OntoAccessEndpoint:
     # observability (ISSUE 10)
     # ------------------------------------------------------------------
 
-    def _scrape_registry(self) -> MetricsRegistry:
-        """A scrape-time registry of this endpoint's own state.
+    def _state(self) -> Dict[str, Any]:
+        """One snapshot of every stateful component, read once per request:
+        ``/health``, ``/ready``, ``/admin/stats`` and ``/metrics`` all
+        render this gather, so no two views can disagree.  ``replication``
+        and ``shipper`` are None where the component is absent.
 
-        The hot paths only ever touch the process-wide counters in
-        :data:`~repro.observability.metrics.REGISTRY`; everything that
-        lives on *this* endpoint is read here, once per scrape, from the
-        same snapshots ``/health`` and ``/admin/stats`` answer with, and
-        exported as the families of :data:`_SCRAPE_FAMILIES`.
+        Role and epoch (failover discovery) are worked out here once: a
+        replica endpoint reports its replica's; a primary reports its
+        store's, as ``"fenced"`` once a higher epoch flipped it read-only,
+        so clients stop routing writes into 403s.
         """
-        db = getattr(self.mediator, "db", None)
-        planner = getattr(db, "planner", None)
-        backend = self.session.health()
-        try:
-            riders = backend["wal_commits"] - backend["wal_syncs"]
-        except (KeyError, TypeError):
-            riders = None
-        replica = self.replica
-        replicated = hasattr(replica, "metrics")
-        snapshots: Dict[str, Dict[str, Any]] = {
+        db = self.mediator.db
+        replication = None if self.replica is None else self.replica.status()
+        if replication is not None:
+            role, epoch = replication["role"], replication["epoch"]
+        else:
+            role, epoch = ("fenced" if db.read_only else "primary"), db.epoch
+        return {
+            "role": role,
+            "epoch": epoch,
             "serving": self.serving_stats(),
-            "endpoint": self._request_counts(),
-            "plan_cache": getattr(planner, "stats", {}),
-            "backend": {**backend, "wal_group_commit_riders": riders},
-            # A primary advertises role/epoch too, so dashboards track
-            # failover from either side of the pair.
-            "primary": {} if replicated else {
-                "role_primary": not getattr(db, "read_only", False),
-                "epoch": getattr(db, "epoch", 0),
+            "requests": {
+                "served": self.requests_served,
+                "errors": self.errors_returned,
             },
-            "replica": getattr(replica, "metrics", dict)(),
-            "shipper": getattr(self.shipper, "metrics", dict)(),
+            "plan_cache": dict(db.planner.stats),
+            "backend": self.session.health(),
+            "replication": replication,
+            "shipper": None if self.shipper is None else self.shipper.status(),
             "slow_queries": self.query_log.status(),
         }
-        registry = MetricsRegistry()
-        for family, help_text, snapshot, key in _SCRAPE_FAMILIES:
-            values = snapshots[snapshot]
-            for k in [key] if key else list(values):
-                name = family if key else family + k
-                try:
-                    value = float(values[k])
-                except (KeyError, TypeError, ValueError):
-                    continue  # absent here, or not a number: no sample
-                kind = Counter if name in _COUNTER_FAMILIES else Gauge
-                metric = kind(f"repro_{name}", help_text.format(key=k))
-                registry.register(metric.set_function(lambda v=value: v))
-        return registry
 
     @_counted
     @_answers({ReproError: _json_error("metrics-unavailable", 503)})
     def handle_metrics(self) -> Response:
-        """GET /metrics: Prometheus text exposition, admission-exempt.
+        """GET /metrics: Prometheus text exposition, admission-exempt: the
+        process-wide :data:`~repro.observability.metrics.REGISTRY`, then
+        this endpoint's state as the families of :data:`_SCRAPE_FAMILIES`.
 
         The chaos site ``obs:export`` fires inside the renderer; an
         injected failure maps to a 503 here — a broken or slow scrape
         can degrade monitoring, never serving.
         """
+        families = _instance_families(self._state())
         return Response(
             status=200,
-            body=render_exposition([REGISTRY, self._scrape_registry()]),
+            body=render_exposition([REGISTRY], families),
             content_type=protocol.CONTENT_PROMETHEUS,
         )
 
@@ -505,12 +494,9 @@ class OntoAccessEndpoint:
     def handle_stats(self) -> Response:
         """GET /admin/stats: serving statistics as JSON (admission-exempt,
         like /health — saturation is exactly when you need it)."""
+        state = self._state()
         return Response.json(
-            {
-                "serving": self.serving_stats(),
-                "requests": self._request_counts(),
-                "slow_queries": self.query_log.status(),
-            }
+            {key: state[key] for key in ("serving", "requests", "slow_queries")}
         )
 
     @_counted
@@ -548,9 +534,9 @@ class OntoAccessEndpoint:
     def _finish_request(
         self, op: str, status: int, trace: Dict[str, Any], total_s: float
     ) -> None:
-        """Metrics + access log + slow-query tee for one work request."""
-        REQUESTS.labels(op, str(status)).inc()
-        REQUEST_SECONDS.labels(op).observe(total_s)
+        """Latency histograms + access log + slow-query tee for one work
+        request, once its response has been flushed."""
+        _LATENCY[op].observe(total_s)
         queue_wait = trace.get("queue_wait_s")
         if queue_wait is not None:
             QUEUE_WAIT_SECONDS.observe(queue_wait)
@@ -828,30 +814,17 @@ class OntoAccessEndpoint:
     def handle_health(self) -> Response:
         """GET /health: always 200; ``status`` is ``"degraded"`` when the
         WAL is refusing commits.  Includes durability detail (sync mode,
-        WAL bytes, last checkpoint age) and serving statistics."""
-        backend = self.session.health()
-        degraded = bool(backend.get("wal_refusing"))
-        doc = {
-            "status": "degraded" if degraded else "ok",
-            "backend": backend,
-            "serving": self.serving_stats(),
-            "requests": self._request_counts(),
-        }
-        # Failover discovery (ISSUE 9): clients pick a new primary by
-        # probing /health for role == "primary" with the highest epoch.
-        replica = self.replica
-        if replica is not None:
-            doc["role"] = replica.role
-            doc["epoch"] = replica.epoch
-            doc["replication"] = replica.status()
-        else:
-            db = self.mediator.db
-            # A deposed primary (fenced by a higher epoch, flipped
-            # read-only) must not advertise itself as primary, or
-            # clients would keep routing writes into 403s.
-            fenced = bool(getattr(db, "read_only", False))
-            doc["role"] = "fenced" if fenced else "primary"
-            doc["epoch"] = getattr(db, "epoch", 0)
+        WAL bytes, last checkpoint age), serving statistics, request
+        counts, role and epoch (clients pick a new primary by probing for
+        role ``"primary"`` with the highest epoch), and on a replica its
+        replication state."""
+        state = self._state()
+        degraded = state["backend"].get("wal_refusing")
+        doc = {"status": "degraded" if degraded else "ok"}
+        for key in ("backend", "serving", "requests", "role", "epoch"):
+            doc[key] = state[key]
+        if state["replication"] is not None:
+            doc["replication"] = state["replication"]
         return Response.json(doc)
 
     @_counted
@@ -860,16 +833,17 @@ class OntoAccessEndpoint:
         replica, serve synced reads), 503 while degraded — durable store
         refusing commits, or replica bootstrap replay still running
         (load balancers drain on this)."""
-        if self._serving_replica() is not None and not self.replica.ready:
+        state = self._state()
+        replication = state["replication"]
+        if replication is not None and not replication["ready"]:
             return protocol.error_json(
                 "replica-syncing",
                 "replica has not finished bootstrap replay",
                 503,
                 retry_after=self.retry_after,
-                replica=self.replica.status(),
+                replica=replication,
             )
-        backend = self.session.health()
-        if backend.get("wal_refusing"):
+        if state["backend"].get("wal_refusing"):
             return protocol.error_json(
                 "degraded",
                 "write-ahead log is refusing commits; restart the process "
@@ -877,8 +851,8 @@ class OntoAccessEndpoint:
                 503,
             )
         doc: Dict[str, Any] = {"ready": True}
-        if self.replica is not None:
-            doc["replica"] = self.replica.status()
+        if replication is not None:
+            doc["replica"] = replication
         return Response.json(doc)
 
     # ------------------------------------------------------------------
@@ -1044,6 +1018,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_traced(response, deadline, op, trace, started)
 
     def _send_traced(self, response, deadline, op, trace, started) -> None:
+        # Counted before the status line goes out, so a client holding
+        # the response already finds it in a scrape; the rest of the
+        # bookkeeping lands after the flush, off the client's clock.
+        REQUESTS.labels(op, str(response.status)).inc()
         serialize_start = time.perf_counter()
         self._send(response, deadline)
         trace["serialize_s"] = time.perf_counter() - serialize_start
@@ -1159,6 +1137,11 @@ _MISSING_QUERY = (
     lambda e, r: e._refuse(Response.text("missing query parameter", 400)), False, None
 )
 
+#: The latency histogram of every admitted op, resolved once, so each
+#: series is scraped (at zero) from the start — a histogram observed
+#: after the flush must not be missing from a scrape its client races.
+_LATENCY = {op: REQUEST_SECONDS.labels(op) for _, _, op in _ROUTES.values() if op}
+
 
 #: Instance families that only ever grow, exported as TYPE counter; every
 #: other family of :data:`_SCRAPE_FAMILIES` is a gauge.
@@ -1175,19 +1158,19 @@ _COUNTER_FAMILIES = frozenset((
 ))
 
 #: The instance families of ``/metrics`` in exposition order, as
-#: ``(family, help, snapshot, key)``: the sample is ``key`` of the named
-#: snapshot taken by :meth:`OntoAccessEndpoint._scrape_registry`, and a
-#: missing or non-numeric value leaves the family out of the scrape.  A
-#: row without a key exports every entry of its snapshot, as ``family``
-#: + entry name, with the entry name formatted into the help text.
+#: ``(family, help, section, key)``: the sample is ``key`` of the named
+#: section of :meth:`OntoAccessEndpoint._state`, and a missing or
+#: non-numeric value leaves the family out of the scrape.  A row without
+#: a key exports every entry of its section, as ``family`` + entry name
+#: (``_s`` spelled ``_seconds``), with that name formatted into the help.
 _SCRAPE_FAMILIES = (
     ("serving_", "Serving-gate statistic {key!r} (see /admin/stats).",
      "serving", None),
     ("endpoint_requests_served",
-     "Requests answered by this endpoint since start.", "endpoint", "served"),
+     "Requests answered by this endpoint since start.", "requests", "served"),
     ("endpoint_request_errors",
      "Error responses returned by this endpoint since start.",
-     "endpoint", "errors"),
+     "requests", "errors"),
     ("plan_cache_", "Plan-cache {key} since process start.",
      "plan_cache", None),
     ("storage_durable",
@@ -1211,10 +1194,11 @@ _SCRAPE_FAMILIES = (
     ("wal_group_commit_riders", "Commits that rode another commit's flush.",
      "backend", "wal_group_commit_riders"),
     ("replica_role_primary", "1 when this endpoint serves the primary.",
-     "primary", "role_primary"),
+     "failover", "role_primary"),
     ("replica_epoch", "Failover epoch of the served store.",
-     "primary", "epoch"),
-    ("replica_", "Replica statistic {key!r} (see /health).", "replica", None),
+     "failover", "epoch"),
+    ("replica_", "Replica statistic {key!r} (see /health).",
+     "replication", None),
     ("shipper_", "Log-shipper statistic {key!r}.", "shipper", None),
     ("slow_query_log_entries",
      "Entries currently held in the slow-query ring buffer.",
@@ -1223,6 +1207,37 @@ _SCRAPE_FAMILIES = (
      "Threshold above which a request is logged as slow.",
      "slow_queries", "threshold_s"),
 )
+
+
+def _instance_families(state: Dict[str, Any]):
+    """The rows of :data:`_SCRAPE_FAMILIES` over one gather, as the
+    ``(name, help, kind, value)`` families of ``render_exposition``."""
+    sections = dict(state)
+    # Role and epoch: among a replica's own statistics, and on their own
+    # rows for a primary, so dashboards track failover from either side.
+    failover = {
+        "role_primary": state["role"] == "primary", "epoch": state["epoch"]
+    }
+    if state["replication"] is None:
+        sections["failover"] = failover
+    else:
+        sections["replication"] = {**state["replication"], **failover}
+    for family, help_text, section, key in _SCRAPE_FAMILIES:
+        values = sections.get(section) or {}
+        for entry in [key] if key else list(values):
+            value = values.get(entry)
+            if not isinstance(value, (int, float)):
+                continue  # absent here, or not a number: no sample
+            # A spanning row names each family after its entry, with
+            # seconds spelled out (``lag_s`` → ``lag_seconds``).
+            suffix = "" if key else entry
+            if suffix.endswith("_s"):
+                suffix = suffix[:-2] + "_seconds"
+            name = family + suffix
+            kind = "counter" if name in _COUNTER_FAMILIES else "gauge"
+            yield (
+                f"repro_{name}", help_text.format(key=suffix), kind, float(value)
+            )
 
 
 def _positive_seconds(text: str, what: str) -> float:

@@ -48,7 +48,8 @@ plain text table.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Optional
+import math
+from typing import Any, Iterable, Iterator, Optional
 from xml.sax.saxutils import escape, quoteattr
 
 from ..rdf.graph import Graph
@@ -174,9 +175,11 @@ class Response:
         content_type: str = CONTENT_JSON,
         headers: Optional[dict] = None,
     ) -> "Response":
+        """A JSON response.  Non-finite floats (an ``inf`` lag before the
+        first sync) become ``null``: strict JSON has no Infinity or NaN."""
         return cls(
             status=status,
-            body=json.dumps(payload, indent=2, sort_keys=False) + "\n",
+            body=json.dumps(_finite(payload), indent=2, allow_nan=False) + "\n",
             content_type=content_type,
             headers=headers,
         )
@@ -186,6 +189,16 @@ class Response:
         cls, chunks: Iterable[str], content_type: str, status: int = 200
     ) -> "Response":
         return cls(status=status, content_type=content_type, body_iter=chunks)
+
+
+def _finite(value: Any) -> Any:
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def accepts(accept: Optional[str], media_type: str) -> bool:
