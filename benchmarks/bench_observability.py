@@ -1,23 +1,26 @@
 """Observability overhead benchmark (ISSUE 10): disarmed must be ~free.
 
-The observability layer arms per-operator instrumentation (EXPLAIN
-ANALYZE) and per-request traces through thread-locals; when nothing is
-armed the hot path pays only a handful of ``current_probe()`` /
-``current_trace()`` checks that return ``None``.  This benchmark pins
-that contract with numbers:
+Per-operator instrumentation (EXPLAIN ANALYZE), per-request traces,
+deadlines and fault-injection sites all ride on the one per-request
+context (``repro.context``); when nothing is armed a statement pays one
+``current_context()`` read and the probe / deadline / fault tests on
+what it returns.  This benchmark pins that contract with numbers:
 
 * ``obs_point_disarmed`` — per-query median for an indexed point SELECT
   with no probe or trace armed: the production fast path.
-* ``obs_point_traced`` — the same query inside a per-request
-  ``trace_scope`` (what the serving tier opens for every request).
+* ``obs_point_traced`` — the same query inside a ``RequestContext``
+  with a request id and a trace record (what the serving tier opens for
+  every request).
 * ``obs_point_analyze`` — the same query under ``explain_analyze``,
   where every operator's output is wrapped in a timing iterator.  This
   is *expected* to cost more; it doubles as the CI calibration set
   because it exercises the same engine path.
 
 The in-run floor is the disarmed-overhead budget: the measured cost of
-the disarmed checks (per-check cost x checks actually executed per
-query, counted by wrapping ``current_probe``) must stay under
+the disarmed checks (the cost of one context read with the probe,
+deadline and fault tests it feeds, x the context reads one query
+actually executes, counted by wrapping ``current_context`` where the
+engine calls it) must stay under
 ``MAX_DISARMED_OVERHEAD_PCT`` of the disarmed median.  The CI trend
 gate then compares ``obs_point_disarmed`` across runs calibrated by
 ``obs_point_analyze``, so a check creeping onto a per-row path (which
@@ -34,8 +37,9 @@ import pathlib
 import statistics
 import time
 
+import repro.rdb.executor as executor_mod
 import repro.rdb.planner as planner_mod
-from repro.observability.tracing import trace_scope
+from repro.context import RequestContext
 from repro.rdb.engine import Database
 
 BENCH_DIR = pathlib.Path(__file__).parent
@@ -49,7 +53,7 @@ WARMUP_QUERIES = 50
 #: Budget for the disarmed instrumentation checks as a share of the
 #: disarmed per-query median (the ISSUE 10 acceptance bar).
 MAX_DISARMED_OVERHEAD_PCT = 5.0
-#: Tight-loop sample size for the per-check cost of ``current_probe``.
+#: Tight-loop sample size for the per-statement cost of the disarmed checks.
 CHECK_SAMPLES = 200_000
 
 
@@ -73,32 +77,44 @@ def _median_us(run_round):
     return statistics.median(samples)
 
 
-def _count_probe_checks(db: Database) -> int:
-    """How many disarmed ``current_probe`` checks one point query runs."""
+#: Every module through which the engine reads the request context.
+_CONTEXT_READERS = (planner_mod, executor_mod)
+
+
+def _count_context_reads(db: Database) -> int:
+    """How many context reads one point query runs."""
     calls = [0]
-    real = planner_mod.current_probe
+    real = planner_mod.current_context
 
     def counting():
         calls[0] += 1
         return real()
 
-    planner_mod.current_probe = counting
+    for module in _CONTEXT_READERS:
+        module.current_context = counting
     try:
         db.execute(POINT_QUERY)
     finally:
-        planner_mod.current_probe = real
+        for module in _CONTEXT_READERS:
+            module.current_context = real
     return calls[0]
 
 
+def _disarmed_checks(rows=()):
+    """What a statement does with its one context read when nothing is
+    armed: the probe test, then the guard's deadline and fault tests."""
+    context = planner_mod.current_context()
+    return context.probe, context.cooperative(rows, "executor:scan")
+
+
 def _measure_check_ns() -> float:
-    """Per-call cost of a disarmed ``current_probe()`` in nanoseconds."""
-    probe = planner_mod.current_probe
-    # Warm the attribute lookup, then time a tight loop.
+    """Per-statement cost of the disarmed checks in nanoseconds."""
+    # Warm the attribute lookups, then time a tight loop.
     for _ in range(1000):
-        probe()
+        _disarmed_checks()
     start = time.perf_counter()
     for _ in range(CHECK_SAMPLES):
-        probe()
+        _disarmed_checks()
     return (time.perf_counter() - start) / CHECK_SAMPLES * 1e9
 
 
@@ -127,7 +143,7 @@ def test_observability_overhead(capsys):
     disarmed_us = _median_us(lambda: db.execute(POINT_QUERY))
 
     def traced_query():
-        with trace_scope(request_id="bench", op="query"):
+        with RequestContext(request_id="bench", trace={}):
             db.execute(POINT_QUERY)
 
     traced_us = _median_us(traced_query)
@@ -135,9 +151,9 @@ def test_observability_overhead(capsys):
 
     # The disarmed overhead cannot be measured by differencing two runs
     # (run-to-run noise swamps nanoseconds), so it is decomposed: the
-    # per-call cost of a disarmed check, times the checks one point
-    # query actually executes.
-    check_sites = _count_probe_checks(db)
+    # per-statement cost of the disarmed checks, times the context reads
+    # one point query actually executes.
+    check_sites = _count_context_reads(db)
     check_ns = _measure_check_ns()
     overhead_pct = (check_sites * check_ns / 1000.0) / disarmed_us * 100.0
 

@@ -43,7 +43,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..deadline import deadline_scope
+from ..context import RequestContext
 from ..errors import SPARQLParseError, TranslationError
 from ..observability.metrics import SESSION_OPS
 from ..rdf.graph import Graph
@@ -557,14 +557,10 @@ class Session:
         # committed snapshot current at the query's start (the thread
         # owning an open transaction sees its own writes instead).
         _OPS_QUERY.inc()
-        if timeout is not None:
-            with deadline_scope(timeout):
-                if isinstance(q, str):
-                    return self.prepare_query(q, prefixes=prefixes).outcome()
-                return self.backend.query_outcome(q, prefixes=prefixes)
-        if isinstance(q, str):
-            return self.prepare_query(q, prefixes=prefixes).outcome()
-        return self.backend.query_outcome(q, prefixes=prefixes)
+        with RequestContext(deadline=timeout):
+            if isinstance(q, str):
+                return self.prepare_query(q, prefixes=prefixes).outcome()
+            return self.backend.query_outcome(q, prefixes=prefixes)
 
     def dump(self) -> Graph:
         """Materialize the backend's state as RDF.

@@ -1,43 +1,23 @@
-"""Per-request deadlines and cooperative cancellation (ISSUE 6).
+"""Request deadlines (ISSUE 6): a monotonic expiry and its typed check.
 
-A deadline is carried in a thread-local rather than threaded through
-every call signature: the serving layer opens a :func:`deadline_scope`
-around request handling, and the hot loops deep in the executor call
-:func:`tick` (or wrap their row iterators with :func:`cooperative`)
-every few hundred rows.  When the deadline passes, the check raises a
-typed :class:`~repro.errors.QueryTimeout` that unwinds through the
-normal exception paths — DML rolls back via the existing statement
+A :class:`Deadline` is carried by the request's
+:class:`~repro.context.RequestContext` rather than threaded through
+every call signature: the endpoint sets one per admitted request,
+``Session.query(timeout=)`` enters a tighter one, and the executor's
+cooperative guard (:meth:`~repro.context.RequestContext.cooperative`)
+checks it every few hundred rows.  Once it passes, :meth:`Deadline.check`
+raises a typed :class:`~repro.errors.QueryTimeout` that unwinds through
+the normal exception paths — DML rolls back via the existing statement
 savepoint / autocommit machinery, reads simply stop pulling rows.
-
-The checks are engineered to cost nothing when no deadline is active:
-:func:`cooperative` returns the iterator unchanged, and :func:`tick`
-is guarded by a bit-mask so only one call in ``_TICK_EVERY`` does any
-work.  Fault-injection sites (:mod:`repro.faults`) piggyback on the
-same hooks so chaos tests can stall or fail the executor mid-scan.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
 
 from .errors import QueryTimeout
-from .faults import INJECTOR
 
-__all__ = [
-    "Deadline",
-    "cooperative",
-    "current_deadline",
-    "deadline_scope",
-    "tick",
-]
-
-#: Loop iterations between cancellation checks.  Must be a power of two
-#: (the guards use ``count & (_TICK_EVERY - 1)``).
-_TICK_EVERY = 256
-_TICK_MASK = _TICK_EVERY - 1
+__all__ = ["Deadline"]
 
 
 class Deadline:
@@ -68,74 +48,3 @@ class Deadline:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Deadline budget={self.budget:.3f}s remaining={self.remaining():.3f}s>"
-
-
-_local = threading.local()
-
-
-def current_deadline() -> Optional[Deadline]:
-    """The deadline governing the current thread, or None."""
-    return getattr(_local, "deadline", None)
-
-
-@contextmanager
-def deadline_scope(limit: Union[None, float, Deadline]):
-    """Install a deadline for the duration of the ``with`` block.
-
-    ``limit`` may be a number of seconds, an existing :class:`Deadline`,
-    or None (no-op scope).  Nested scopes keep whichever deadline
-    expires first, so an outer request budget can never be loosened by
-    an inner call.
-    """
-    outer = current_deadline()
-    if limit is None:
-        inner = outer
-    else:
-        inner = limit if isinstance(limit, Deadline) else Deadline(limit)
-        if outer is not None and outer.expires_at < inner.expires_at:
-            inner = outer
-    _local.deadline = inner
-    try:
-        yield inner
-    finally:
-        _local.deadline = outer
-
-
-def tick(count: int, site: str = "executor:dml") -> None:
-    """Cheap cancellation check for explicit loops.
-
-    Call with a monotonically increasing loop counter; one call in
-    ``_TICK_EVERY`` (plus the first, ``count == 0``) fires the fault
-    injector for ``site`` and checks the active deadline.
-    """
-    if count & _TICK_MASK:
-        return
-    if INJECTOR.armed:
-        INJECTOR.fire(site)
-    deadline = getattr(_local, "deadline", None)
-    if deadline is not None:
-        deadline.check()
-
-
-def cooperative(rows: Iterator, site: str = "executor:scan") -> Iterator:
-    """Wrap a row iterator with periodic cancellation checks.
-
-    Zero-cost when no deadline is active and no fault rule is armed:
-    the iterator is returned unchanged.
-    """
-    if current_deadline() is None and not INJECTOR.armed:
-        return rows
-    return _guarded(rows, site)
-
-
-def _guarded(rows: Iterator, site: str) -> Iterator:
-    count = 0
-    for item in rows:
-        if not count & _TICK_MASK:
-            if INJECTOR.armed:
-                INJECTOR.fire(site)
-            deadline = getattr(_local, "deadline", None)
-            if deadline is not None:
-                deadline.check()
-        count += 1
-        yield item

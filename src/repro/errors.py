@@ -116,8 +116,8 @@ class ReadOnlyDatabaseError(DatabaseError):
 class QueryTimeout(ReproError):
     """Cooperative cancellation: an operation exceeded its deadline.
 
-    Raised from the cheap cancellation checks in executor scan/join/
-    aggregate loops (see :mod:`repro.deadline`), so a runaway query
+    Raised from the cheap cancellation checks in executor scan and DML
+    loops (see :mod:`repro.context`), so a runaway query
     returns a typed error instead of burning a thread forever.  The
     endpoint maps it to HTTP 408 with a ``Retry-After`` header.
     """

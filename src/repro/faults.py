@@ -5,9 +5,11 @@ PR 5 proved the kill-point discipline inside the durability layer: the
 byte-precise moments.  This module generalizes that pattern to the whole
 request path.  A :class:`FaultInjector` maps *site names* to rules that
 inject latency, raise errors, or stall on an event; production code
-calls ``INJECTOR.fire("site")`` (usually via the guards in
-:mod:`repro.deadline`) at interesting points, which is a no-op unless a
-test armed a rule.
+calls ``INJECTOR.fire("site")`` at interesting points (the executor's
+sites through the request context's cancellation guard,
+:meth:`repro.context.RequestContext.cooperative`), which is a no-op
+unless a test armed a rule.  The injector is process-wide, not
+per-request state: a rule armed by a test fires on every thread.
 
 Known sites:
 

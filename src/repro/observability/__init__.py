@@ -7,20 +7,21 @@ engine:
   Histogram primitives (per-thread sharding, pre-bucketed latency
   histograms) behind a registry with Prometheus text exposition; the
   endpoint serves it at ``GET /metrics``.
-* :mod:`repro.observability.tracing` — thread-local request ids
-  (``X-Request-Id``), per-request trace records for the structured
-  access log, and the EXPLAIN ANALYZE probe that collects per-operator
-  elapsed/rows/loops inside compiled plans.
+* :mod:`repro.observability.tracing` — request ids (``X-Request-Id``),
+  trace annotations for the structured access log, and the EXPLAIN
+  ANALYZE probe that collects per-operator elapsed/rows/loops inside
+  compiled plans; all three ride on the one per-request
+  :class:`~repro.context.RequestContext`.
 * :mod:`repro.observability.querylog` — the ring-buffered slow-query
   log behind ``GET /admin/slow-queries``.
 
 Everything is engineered to cost nothing when disarmed: incrementing a
-counter is one thread-local cell update, trace/probe checks are a
-single thread-local read per statement, and instance state (WAL status,
-replica lag, admission depth) is read once per request into the one
-gather ``/health``, ``/ready``, ``/admin/stats`` and ``/metrics`` render —
-monotonic counts typed as counters, levels as gauges — instead of
-hot-path double bookkeeping.
+counter is one thread-local cell update, the trace, probe, deadline and
+fault checks share one context read per statement, and instance state
+(WAL status, replica lag, admission depth) is read once per request
+into the one gather ``/health``, ``/ready``, ``/admin/stats`` and
+``/metrics`` render — monotonic counts typed as counters, levels as
+gauges — instead of hot-path double bookkeeping.
 """
 
 from .metrics import (
@@ -33,17 +34,7 @@ from .metrics import (
     render_exposition,
 )
 from .querylog import QueryLog
-from .tracing import (
-    AnalyzeProbe,
-    analyze_scope,
-    annotate,
-    current_probe,
-    current_request_id,
-    current_trace,
-    new_request_id,
-    request_scope,
-    trace_scope,
-)
+from .tracing import AnalyzeProbe, annotate, new_request_id, request_scope
 
 __all__ = [
     "AnalyzeProbe",
@@ -53,14 +44,9 @@ __all__ = [
     "MetricsRegistry",
     "QueryLog",
     "REGISTRY",
-    "analyze_scope",
     "annotate",
-    "current_probe",
-    "current_request_id",
-    "current_trace",
     "lint_exposition",
     "new_request_id",
     "render_exposition",
     "request_scope",
-    "trace_scope",
 ]

@@ -1,60 +1,50 @@
-"""Request tracing and operator-level plan instrumentation (ISSUE 10).
+"""Request ids, trace annotations and EXPLAIN ANALYZE instrumentation
+(ISSUE 10).
 
-Three thread-local contexts, all following the :mod:`repro.deadline`
-pattern — installed by a context manager at the serving boundary, read
-by cheap accessor functions deep in the stack, and costing one
-``getattr`` on a thread-local when inactive:
+All three ride on the one per-request
+:class:`~repro.context.RequestContext`, installed at the serving
+boundary and read deep in the stack for the cost of one thread-local
+read:
 
 * **Request id** — :func:`request_scope` carries the ``X-Request-Id``
   (caller-supplied or :func:`new_request_id`) through
   Session → executor → error responses, so one id joins the client's
   retries, the server's access-log line, and the slow-query entry.
-* **Trace record** — :func:`trace_scope` opens a mutable dict that any
-  layer may :func:`annotate` (rows, used_sql, backend); the endpoint
-  turns it into the structured JSON access-log line.  ``annotate`` is a
-  no-op (one thread-local read) when no trace is active.
-* **Analyze probe** — :func:`analyze_scope` arms per-operator
-  timing/row/loop collection inside the planner's compiled plans (the
-  EXPLAIN ANALYZE machinery).  Disarmed, plans pay a single
-  :func:`current_probe` check per *statement*, never per row.
+* **Trace record** — the endpoint gives each admitted request a mutable
+  dict that any layer may :func:`annotate` (rows, used_sql, backend);
+  it becomes the structured JSON access-log line.  ``annotate`` is a
+  no-op when no trace is active.
+* **Analyze probe** — a context entered with an :class:`AnalyzeProbe`
+  arms per-operator timing/row/loop collection inside the planner's
+  compiled plans (the EXPLAIN ANALYZE machinery).  Disarmed, plans pay
+  one context read per *statement*, never per row.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import uuid
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
+from ..context import RequestContext, current_context
+
 __all__ = [
     "AnalyzeProbe",
     "OperatorStats",
-    "analyze_scope",
     "annotate",
-    "current_probe",
-    "current_request_id",
-    "current_trace",
     "new_request_id",
     "request_scope",
-    "trace_scope",
 ]
-
-_local = threading.local()
 
 
 # ---------------------------------------------------------------------------
-# request ids
+# request ids and trace annotations
 # ---------------------------------------------------------------------------
 
 def new_request_id() -> str:
     """A fresh 16-hex-char request id."""
     return uuid.uuid4().hex[:16]
-
-
-def current_request_id() -> Optional[str]:
-    """The request id governing the current thread, or None."""
-    return getattr(_local, "request_id", None)
 
 
 def sanitize_request_id(raw: Optional[str]) -> Optional[str]:
@@ -76,40 +66,15 @@ def request_scope(request_id: Optional[str] = None) -> Iterator[str]:
     Nested scopes keep the outer id: a client helper that opens a scope
     around a logical operation keeps one id across retries and failover.
     """
-    outer = current_request_id()
-    inner = outer or request_id or new_request_id()
-    _local.request_id = inner
-    try:
-        yield inner
-    finally:
-        _local.request_id = outer
-
-
-# ---------------------------------------------------------------------------
-# per-request trace records
-# ---------------------------------------------------------------------------
-
-def current_trace() -> Optional[Dict[str, Any]]:
-    return getattr(_local, "trace", None)
+    with RequestContext(request_id=request_id or new_request_id()) as context:
+        yield context.request_id
 
 
 def annotate(**fields: Any) -> None:
     """Merge fields into the active trace record (no-op without one)."""
-    trace = getattr(_local, "trace", None)
+    trace = current_context().trace
     if trace is not None:
         trace.update(fields)
-
-
-@contextmanager
-def trace_scope(**initial: Any) -> Iterator[Dict[str, Any]]:
-    """Open a mutable trace record for the ``with`` block."""
-    outer = current_trace()
-    trace: Dict[str, Any] = dict(initial)
-    _local.trace = trace
-    try:
-        yield trace
-    finally:
-        _local.trace = outer
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +159,3 @@ class AnalyzeProbe:
             "rows": self.rows,
             "elapsed_us": round(self.elapsed_s * 1e6, 3),
         }
-
-
-def current_probe() -> Optional[AnalyzeProbe]:
-    """The analyze probe armed for this thread, or None (the fast path)."""
-    return getattr(_local, "probe", None)
-
-
-@contextmanager
-def analyze_scope() -> Iterator[AnalyzeProbe]:
-    """Arm operator-level instrumentation for the ``with`` block."""
-    outer = current_probe()
-    probe = AnalyzeProbe()
-    _local.probe = probe
-    try:
-        yield probe
-    finally:
-        _local.probe = outer

@@ -58,6 +58,7 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
+from ..context import RequestContext
 from ..errors import (
     CatalogError,
     DatabaseError,
@@ -65,7 +66,7 @@ from ..errors import (
     ReadOnlyDatabaseError,
     TransactionError,
 )
-from ..observability.tracing import analyze_scope
+from ..observability.tracing import AnalyzeProbe
 from ..sql import ast
 from ..sql.parser import parse_statements
 from ..sql.render import render
@@ -930,7 +931,8 @@ class Database:
                 "EXPLAIN ANALYZE executes its statement, so only SELECT "
                 f"is supported, not {type(statement).__name__}"
             )
-        with analyze_scope() as probe:
+        probe = AnalyzeProbe()
+        with RequestContext(probe=probe):
             result = self.execute(statement, parameters)
         report = probe.report()
         report["columns"] = result.columns

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..deadline import tick
+from ..context import current_context
 from ..errors import CatalogError, DatabaseError, IntegrityError
 from ..observability.metrics import EXECUTOR_ROWS
 from ..sql import ast
@@ -35,7 +35,7 @@ __all__ = ["Result", "Executor"]
 Row = Dict[str, Any]
 
 # Label children resolved once: per-statement cost is one sharded add.
-_ROWS_SELECT = EXECUTOR_ROWS.labels("select")
+# (SELECT rows are counted where every read passes: CompiledSelect.execute.)
 _ROWS_INSERT = EXECUTOR_ROWS.labels("insert")
 _ROWS_UPDATE = EXECUTOR_ROWS.labels("update")
 _ROWS_DELETE = EXECUTOR_ROWS.labels("delete")
@@ -93,8 +93,6 @@ class Executor:
     def select(self, stmt: ast.Select, parameters: Sequence[Any] = ()) -> Result:
         plan = self.planner.plan_select(stmt)
         columns, rows = plan.execute(self.data, parameters)
-        if rows:
-            _ROWS_SELECT.inc(len(rows))
         return Result(columns=columns, rows=rows, rowcount=len(rows))
 
     # ==================================================================
@@ -110,9 +108,9 @@ class Executor:
         table = self.schema.table(stmt.table)
         table_data = self._for_write(stmt.table)
         columns = stmt.columns or tuple(table.column_names())
+        rows = current_context().cooperative(stmt.rows, "executor:dml")
         count = 0
-        for row_exprs in stmt.rows:
-            tick(count)
+        for row_exprs in rows:
             if len(row_exprs) != len(columns):
                 raise DatabaseError(
                     f"INSERT into {stmt.table!r}: {len(columns)} columns but "
@@ -181,10 +179,10 @@ class Executor:
         table = self.schema.table(stmt.table)
         table_data = self._for_write(stmt.table)
         plan = self.planner.plan_update(stmt)
-        targets = plan.matching_rowids(self.data, parameters)
+        context = current_context()
+        targets = plan.matching_rowids(self.data, parameters, context)
         count = 0
-        for rowid in targets:
-            tick(count)
+        for rowid in context.cooperative(targets, "executor:dml"):
             current = table_data.rows[rowid]
             scope = (current,)
             changes: Row = {}
@@ -230,10 +228,10 @@ class Executor:
         table = self.schema.table(stmt.table)
         table_data = self._for_write(stmt.table)
         plan = self.planner.plan_delete(stmt)
-        targets = plan.matching_rowids(self.data, parameters)
+        context = current_context()
+        targets = plan.matching_rowids(self.data, parameters, context)
         count = 0
-        for rowid in targets:
-            tick(count)
+        for rowid in context.cooperative(targets, "executor:dml"):
             row = table_data.rows[rowid]
             self._check_fk_parent_delete(table, row, txn)
             removed = table_data.delete(rowid)

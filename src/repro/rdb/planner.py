@@ -67,10 +67,9 @@ from typing import (
     Tuple,
 )
 
-from ..deadline import cooperative
+from ..context import RequestContext, current_context
 from ..errors import DatabaseError
-from ..observability.metrics import ROWS_SCANNED
-from ..observability.tracing import current_probe
+from ..observability.metrics import EXECUTOR_ROWS, ROWS_SCANNED
 from ..sql import ast
 from ..sql.render import render_expression
 from .catalog import Schema
@@ -96,6 +95,9 @@ __all__ = [
 Row = Dict[str, Any]
 
 _PLAN_CACHE_SIZE = 256
+
+# Resolved once: counting a statement's rows is one sharded add.
+_ROWS_SELECT = EXECUTOR_ROWS.labels("select")
 
 
 class StaleSnapshotError(DatabaseError):
@@ -1409,13 +1411,15 @@ class CompiledSelect:
     # -- execution ------------------------------------------------------
 
     def scopes(
-        self, data: Dict[str, TableData], parameters: Sequence[Any]
+        self,
+        data: Dict[str, TableData],
+        parameters: Sequence[Any],
+        context: RequestContext,
     ) -> Iterator[Rows]:
-        # EXPLAIN ANALYZE: one thread-local read per statement when
-        # disarmed; armed, every operator's output is wrapped with a
-        # timing/row-counting iterator.  Plans are cached and shared
+        # EXPLAIN ANALYZE: armed, every operator's output is wrapped with
+        # a timing/row-counting iterator.  Plans are cached and shared
         # across threads, so the probe is never stored on the plan.
-        probe = current_probe()
+        probe = context.probe
         if self.base is None:
             produced: Iterator[Rows] = iter([()])
             if self.constant_predicates:
@@ -1437,7 +1441,7 @@ class CompiledSelect:
         # through this wrapper, so even a pipeline that emits no rows
         # checks the request deadline every few hundred scanned rows.
         # No-op (iterator returned unchanged) without an active deadline.
-        produced = cooperative(produced, "executor:scan")
+        produced = context.cooperative(produced, "executor:scan")
         for step in self.steps:
             produced = step.apply(produced, data, parameters)
             if probe is not None:
@@ -1449,24 +1453,30 @@ class CompiledSelect:
     def execute(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
     ) -> Tuple[List[str], List[Tuple[Any, ...]]]:
-        probe = current_probe()
-        if probe is None:
-            return self._execute(data, parameters)
-        start = time.perf_counter()
-        columns, rows = self._execute(data, parameters)
-        probe.elapsed_s += time.perf_counter() - start
-        probe.rows += len(rows)
-        probe.note_plan(self, self.describe())
-        return columns, rows
+        """Run the plan: the one place every SELECT passes, on the
+        snapshot read path and inside a transaction alike, so its rows
+        are counted here.  The request context is read once."""
+        context = current_context()
+        probe = context.probe
+        if probe is not None:
+            start = time.perf_counter()
+        rows = self._execute(self.scopes(data, parameters, context), parameters)
+        if probe is not None:
+            probe.elapsed_s += time.perf_counter() - start
+            probe.rows += len(rows)
+            probe.note_plan(self, self.describe())
+        if rows:
+            _ROWS_SELECT.inc(len(rows))
+        return self.columns, rows
 
     def _execute(
-        self, data: Dict[str, TableData], parameters: Sequence[Any]
-    ) -> Tuple[List[str], List[Tuple[Any, ...]]]:
+        self, scopes: Iterator[Rows], parameters: Sequence[Any]
+    ) -> List[Tuple[Any, ...]]:
         stmt = self.stmt
         if self._grouped:
-            rows = self._execute_grouped(data, parameters)
+            rows = self._execute_grouped(scopes, parameters)
         else:
-            rows = self._execute_plain(data, parameters)
+            rows = self._execute_plain(scopes, parameters)
 
         if stmt.distinct:
             seen: Set[Tuple[Any, ...]] = set()
@@ -1481,24 +1491,23 @@ class CompiledSelect:
             rows = rows[stmt.offset:]
         if stmt.limit is not None:
             rows = rows[: stmt.limit]
-        return self.columns, rows
+        return rows
 
     def _execute_plain(
-        self, data: Dict[str, TableData], parameters: Sequence[Any]
+        self, scopes: Iterator[Rows], parameters: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
         stmt = self.stmt
         item_fns = self.item_fns
         if not stmt.order_by:
             return [
                 tuple(fn(scope, parameters) for fn in item_fns)
-                for scope in self.scopes(data, parameters)
+                for scope in scopes
             ]
 
         if self._index_ordered:
             # Rows already emerge in ORDER BY order from the ordered
             # index; LIMIT stops the pipeline after the first rows
             # (DISTINCT must see everything, so no early stop there).
-            scopes = self.scopes(data, parameters)
             if stmt.limit is not None and not stmt.distinct:
                 scopes = islice(scopes, (stmt.offset or 0) + stmt.limit)
             return [
@@ -1509,7 +1518,7 @@ class CompiledSelect:
         # Precompute every sort key exactly once per row.
         order_keys = self.order_keys
         decorated: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = []
-        for scope in self.scopes(data, parameters):
+        for scope in scopes:
             row = tuple(fn(scope, parameters) for fn in item_fns)
             key = tuple(k.key(row, scope, parameters) for k in order_keys)
             decorated.append((key, row))
@@ -1528,18 +1537,18 @@ class CompiledSelect:
         return [decorated[i][1] for i in indexes]
 
     def _execute_grouped(
-        self, data: Dict[str, TableData], parameters: Sequence[Any]
+        self, scopes: Iterator[Rows], parameters: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
         stmt = self.stmt
         groups: Dict[Tuple[Any, ...], List[Rows]] = {}
         if self.group_fns:
-            for scope in self.scopes(data, parameters):
+            for scope in scopes:
                 key = tuple(
                     _hashable(fn(scope, parameters)) for fn in self.group_fns
                 )
                 groups.setdefault(key, []).append(scope)
         else:
-            groups[()] = list(self.scopes(data, parameters))
+            groups[()] = list(scopes)
 
         rows: List[Tuple[Any, ...]] = []
         for members in groups.values():
@@ -1708,13 +1717,16 @@ class CompiledMutation:
         ]
 
     def matching_rowids(
-        self, data: Dict[str, TableData], parameters: Sequence[Any]
+        self,
+        data: Dict[str, TableData],
+        parameters: Sequence[Any],
+        context: RequestContext,
     ) -> List[int]:
         """Materialized list: callers mutate the table while applying."""
-        pairs = cooperative(
+        pairs = context.cooperative(
             self.base.rowid_scopes(data, parameters), "executor:scan"
         )
-        probe = current_probe()
+        probe = context.probe
         if probe is not None:
             pairs = probe.timed(
                 pairs, probe.operator(self.base, self.base.describe())

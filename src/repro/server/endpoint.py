@@ -26,8 +26,8 @@ falling over:
 
 * **Deadlines** — every work request gets a budget: the tighter of the
   server-wide ``default_timeout`` and what the client asked for via
-  ``?timeout=`` / ``X-Request-Deadline``.  The budget is installed as a
-  thread-local :func:`~repro.deadline.deadline_scope`; the executor's
+  ``?timeout=`` / ``X-Request-Deadline``.  The budget rides on the
+  request's :class:`~repro.context.RequestContext`; the executor's
   cooperative cancellation checks turn a runaway query into a typed
   :class:`~repro.errors.QueryTimeout` → HTTP 408 with ``Retry-After``.
 * **Admission control** — a bounded in-flight gate with a short bounded
@@ -66,10 +66,12 @@ Observability (ISSUE 10) — the serving tier is inspectable end to end:
   endpoint's own state, in the Prometheus text format.  Like the probes
   it bypasses admission, and a failing exposition (chaos site
   ``obs:export``) maps to a 503 without touching serving.
-* Every request carries an ``X-Request-Id`` (caller-supplied or
-  generated) that is installed thread-local for the whole dispatch, so
-  it appears in the access-log line, the slow-query entry, and the
-  response header — including error responses.
+* Every request is dispatched inside one
+  :class:`~repro.context.RequestContext`, entered once: it carries the
+  ``X-Request-Id`` (caller-supplied or generated) into the access-log
+  line, the slow-query entry and the response header — including error
+  responses — and, for admitted work, the op, start time, deadline and
+  trace record that every later phase reads.
 * Work requests emit one structured JSON access-log line (op, status,
   queue wait, execute, serialize, rows, shed/timeout cause) and are
   teed into a ring-buffered slow-query log served at
@@ -90,7 +92,8 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..deadline import Deadline, deadline_scope
+from ..context import RequestContext, current_context
+from ..deadline import Deadline
 from ..errors import (
     DurabilityError,
     FaultError,
@@ -114,12 +117,10 @@ from ..observability.metrics import (
 )
 from ..observability.querylog import QueryLog
 from ..observability.tracing import (
-    analyze_scope,
+    AnalyzeProbe,
     annotate,
-    current_request_id,
-    request_scope,
+    new_request_id,
     sanitize_request_id,
-    trace_scope,
 )
 from ..rdf.graph import Graph
 from ..r3m.serialize import mapping_to_turtle
@@ -515,7 +516,8 @@ class OntoAccessEndpoint:
         blocked = self._replica_gate()
         if blocked is not None:
             return blocked
-        with analyze_scope() as probe:
+        probe = AnalyzeProbe()
+        with RequestContext(probe=probe):
             result = self.session.query(body)
         report = probe.report()
         if isinstance(result, bool):
@@ -531,18 +533,19 @@ class OntoAccessEndpoint:
         path, unreadable body, bad timeout, shed request."""
         return response
 
-    def _finish_request(
-        self, op: str, status: int, trace: Dict[str, Any], total_s: float
-    ) -> None:
-        """Latency histograms + access log + slow-query tee for one work
-        request, once its response has been flushed."""
-        _LATENCY[op].observe(total_s)
+    def _finish_request(self, status: int) -> None:
+        """Latency histograms + access log + slow-query tee for the
+        current work request, once its response has been flushed."""
+        context = current_context()
+        trace = context.trace
+        total_s = time.perf_counter() - context.started
+        _LATENCY[context.op].observe(total_s)
         queue_wait = trace.get("queue_wait_s")
         if queue_wait is not None:
             QUEUE_WAIT_SECONDS.observe(queue_wait)
         entry: Dict[str, Any] = {
-            "request_id": trace.get("request_id"),
-            "op": op,
+            "request_id": context.request_id,
+            "op": context.op,
             "status": status,
             "total_s": round(total_s, 6),
         }
@@ -910,9 +913,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self) -> None:
         method = self.command
-        with request_scope(
-            sanitize_request_id(self.headers.get("X-Request-Id"))
-        ):
+        request_id = sanitize_request_id(self.headers.get("X-Request-Id"))
+        # The one context of this request: its id now, and for admitted
+        # work its op, start time, deadline and trace record.
+        with RequestContext(request_id=request_id or new_request_id()):
             # The body is read (or refused) before routing, so even a 404
             # leaves a keep-alive connection in sync.
             self.body = self._read_body() if method == "POST" else ""
@@ -973,61 +977,62 @@ class _Handler(BaseHTTPRequestHandler):
         """Run one work request under admission control and its
         deadline; sends the response (or the 400/503 refusal).
 
-        The whole dispatch runs inside a trace scope: the phase
-        timings (queue wait, execute, serialize) and any annotations
-        from deeper layers feed one access-log line, the request
-        counters, and the slow-query tee."""
+        The request's context carries its op, start time, deadline and
+        trace record: the phase timings (queue wait, execute, serialize)
+        and any annotations from deeper layers feed one access-log
+        line, the request counters, and the slow-query tee."""
         endpoint = self.server.endpoint
-        started = time.perf_counter()
-        with trace_scope(request_id=current_request_id(), op=op) as trace:
-            try:
-                deadline = endpoint._request_deadline(self.params, self.headers)
-            except ValueError as exc:
-                trace["cause"] = "bad-timeout"
-                refusal = protocol.error_json("bad-timeout", str(exc), 400)
-            else:
-                admit_start = time.perf_counter()
-                admitted = endpoint._gate.admit(deadline)
-                trace["queue_wait_s"] = time.perf_counter() - admit_start
-                if admitted:
-                    try:
-                        self._execute(handler, deadline, op, trace, started)
-                    finally:
-                        endpoint._gate.release()
-                    return
-                trace["cause"] = "shed"
-                refusal = protocol.error_json(
-                    "overloaded",
-                    "server is at capacity; retry after backoff",
-                    503,
-                    retry_after=endpoint.retry_after,
-                )
-            self._send_traced(
-                endpoint._refuse(refusal), None, op, trace, started
+        context = current_context()
+        context.op = op
+        context.started = time.perf_counter()
+        trace = context.trace = {}
+        try:
+            context.deadline = endpoint._request_deadline(
+                self.params, self.headers
             )
+        except ValueError as exc:
+            trace["cause"] = "bad-timeout"
+            refusal = protocol.error_json("bad-timeout", str(exc), 400)
+        else:
+            admit_start = time.perf_counter()
+            admitted = endpoint._gate.admit(context.deadline)
+            trace["queue_wait_s"] = time.perf_counter() - admit_start
+            if admitted:
+                try:
+                    self._execute(handler)
+                finally:
+                    endpoint._gate.release()
+                return
+            trace["cause"] = "shed"
+            refusal = protocol.error_json(
+                "overloaded",
+                "server is at capacity; retry after backoff",
+                503,
+                retry_after=endpoint.retry_after,
+            )
+        self._send_traced(endpoint._refuse(refusal))
 
-    def _execute(self, handler, deadline, op, trace, started) -> None:
-        with deadline_scope(deadline):
-            # Streaming happens inside both the scope and the admission
-            # slot: serialization is request work.
-            exec_start = time.perf_counter()
-            response = handler(self.server.endpoint, self)
-            trace["execute_s"] = time.perf_counter() - exec_start
-            if response.status == 408:
-                trace["cause"] = "timeout"
-            self._send_traced(response, deadline, op, trace, started)
+    def _execute(self, handler: "_RouteHandler") -> None:
+        # Streaming happens inside the admission slot and under the
+        # deadline: serialization is request work.
+        trace = current_context().trace
+        exec_start = time.perf_counter()
+        response = handler(self.server.endpoint, self)
+        trace["execute_s"] = time.perf_counter() - exec_start
+        if response.status == 408:
+            trace["cause"] = "timeout"
+        self._send_traced(response)
 
-    def _send_traced(self, response, deadline, op, trace, started) -> None:
+    def _send_traced(self, response: Response) -> None:
         # Counted before the status line goes out, so a client holding
         # the response already finds it in a scrape; the rest of the
         # bookkeeping lands after the flush, off the client's clock.
-        REQUESTS.labels(op, str(response.status)).inc()
+        context = current_context()
+        REQUESTS.labels(context.op, str(response.status)).inc()
         serialize_start = time.perf_counter()
-        self._send(response, deadline)
-        trace["serialize_s"] = time.perf_counter() - serialize_start
-        self.server.endpoint._finish_request(
-            op, response.status, trace, time.perf_counter() - started
-        )
+        self._send(response)
+        context.trace["serialize_s"] = time.perf_counter() - serialize_start
+        self.server.endpoint._finish_request(response.status)
 
     def _request_headers(self, response: Response) -> None:
         for name, value in response.headers.items():
@@ -1035,13 +1040,9 @@ class _Handler(BaseHTTPRequestHandler):
         # Echo the request id on every response — errors too — so one id
         # joins client retries, server logs, and the slow-query entry.
         if "X-Request-Id" not in response.headers:
-            rid = current_request_id()
-            if rid:
-                self.send_header("X-Request-Id", rid)
+            self.send_header("X-Request-Id", current_context().request_id)
 
-    def _send(
-        self, response: Response, deadline: Optional[Deadline] = None
-    ) -> None:
+    def _send(self, response: Response) -> None:
         if response.body_iter is not None:
             if self.request_version == "HTTP/1.0":
                 # RFC 7230: no chunked framing toward a 1.0 peer;
@@ -1049,7 +1050,7 @@ class _Handler(BaseHTTPRequestHandler):
                 # buffered payload sent with Content-Length.
                 pass
             else:
-                self._send_chunked(response, deadline)
+                self._send_chunked(response)
                 return
         payload = response.body.encode("utf-8")
         self.send_response(response.status)
@@ -1065,9 +1066,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.endpoint._aborts.inc()
             self.close_connection = True
 
-    def _send_chunked(
-        self, response: Response, deadline: Optional[Deadline] = None
-    ) -> None:
+    def _send_chunked(self, response: Response) -> None:
+        deadline = current_context().deadline
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self._request_headers(response)

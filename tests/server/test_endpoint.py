@@ -3,6 +3,7 @@
 import pytest
 
 from repro import OntoAccess
+from repro.observability.metrics import EXECUTOR_ROWS
 from repro.rdf import OA, RDF
 from repro.server import OntoAccessClient, OntoAccessEndpoint
 from repro.workloads.publication import (
@@ -196,6 +197,23 @@ class TestOverHTTP:
                 'SELECT ?n WHERE { ?x foaf:family_name ?n . }'
             )
             assert '"Hert"' in text
+
+    def test_point_query_counts_its_select_rows(self, endpoint):
+        """An endpoint query takes the lock-free snapshot read path; its
+        rows count in ``repro_executor_rows_total{op="select"}`` before
+        the response goes out."""
+        selected = EXECUTOR_ROWS.labels("select")
+        with endpoint:
+            client = OntoAccessClient(endpoint.url)
+            before = selected.value()
+            document = client.query_json(
+                'PREFIX foaf: <http://xmlns.com/foaf/0.1/> '
+                'PREFIX ex: <http://example.org/db/> '
+                'SELECT ?n WHERE { ex:author6 foaf:family_name ?n . }'
+            )
+            moved = selected.value() - before
+        assert len(document["results"]["bindings"]) == 1
+        assert moved == 1
 
     def test_dump_over_http(self, endpoint):
         with endpoint:

@@ -202,7 +202,8 @@ class TestExportFault:
                 daemon=True,
             )
             worker.start()
-            time.sleep(0.05)  # scrape is mid-stall now
+            # scrape is mid-stall now
+            assert _await(lambda: INJECTOR.fired("obs:export") >= 1)
             start = time.monotonic()
             status, _, _ = _post(endpoint.port, "/query", SELECT_NAMES)
             elapsed = time.monotonic() - start

@@ -82,6 +82,15 @@ def _post(
         conn.close()
 
 
+def _await(predicate, timeout=5.0):
+    """Poll observable state until ``predicate`` holds, instead of
+    sleeping for a guessed phase; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 class TestDeadlinesOverHTTP:
     def test_timeout_param_yields_408_with_retry_after(self, big_mediator):
         INJECTOR.inject("executor:scan", latency=0.05)
@@ -183,9 +192,10 @@ class TestAdmissionControl:
                 )
                 for _ in range(2)
             ]
-            for worker in workers:
+            # first admitted, second queued
+            for worker, phase in zip(workers, ("in_flight", "waiting")):
                 worker.start()
-                time.sleep(0.05)  # first admitted, second queued
+                _await(lambda: endpoint.serving_stats()[phase] == 1)
             release.set()
             for worker in workers:
                 worker.join(timeout=10.0)
@@ -260,7 +270,14 @@ class TestOverloadSoak:
                 threading.Thread(target=worker, args=(i,), daemon=True)
                 for i in range(4 * max_connections)
             ]
-            for thread in workers:
+            # Worker 1 is a tight-deadline worker.  Its first request goes
+            # out alone, while every admission slot is provably free, so
+            # it is admitted and must time out: the 408 path is exercised
+            # on every run instead of whenever the storm lets one in.
+            assert endpoint.serving_stats()["in_flight"] == 0
+            workers[1].start()
+            _await(lambda: len(results) >= 1, timeout=30.0)
+            for thread in workers[:1] + workers[2:]:
                 thread.start()
             for thread in workers:
                 thread.join(timeout=60.0)
@@ -347,7 +364,8 @@ class TestStreamAbort:
                     "Accept": "application/sparql-results+json",
                 },
             )
-            time.sleep(0.1)  # the handler is stalled before its 1st chunk
+            # the handler is stalled before its 1st chunk
+            _await(lambda: INJECTOR.fired("endpoint:stream") == 1)
             conn.close()  # headers sent but unread: close() fires an RST
             INJECTOR.clear()
             INJECTOR.inject("endpoint:stream", latency=0.01)

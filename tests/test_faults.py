@@ -15,13 +15,8 @@ import time
 import pytest
 
 from repro import OntoAccess
-from repro.deadline import (
-    Deadline,
-    cooperative,
-    current_deadline,
-    deadline_scope,
-    tick,
-)
+from repro.context import RequestContext, current_context
+from repro.deadline import Deadline
 from repro.errors import DurabilityError, FaultError, QueryTimeout
 from repro.faults import INJECTOR, FaultInjector
 from repro.workloads.generator import WorkloadConfig, build_populated_database
@@ -117,23 +112,24 @@ class TestFaultInjector:
 
 class TestDeadline:
     def test_scope_installs_and_restores(self):
-        assert current_deadline() is None
-        with deadline_scope(5.0) as deadline:
-            assert current_deadline() is deadline
+        assert current_context().deadline is None
+        with RequestContext(deadline=5.0) as context:
+            deadline = context.deadline
+            assert current_context().deadline is deadline
             assert deadline.remaining() > 4.0
-        assert current_deadline() is None
+        assert current_context().deadline is None
 
     def test_nested_scope_keeps_tighter(self):
-        with deadline_scope(0.05) as outer:
-            with deadline_scope(100.0) as inner:
-                assert inner is outer  # never loosened
-            with deadline_scope(0.001) as inner:
-                assert inner is not outer  # tightened
+        with RequestContext(deadline=0.05) as outer:
+            with RequestContext(deadline=100.0) as inner:
+                assert inner.deadline is outer.deadline  # never loosened
+            with RequestContext(deadline=0.001) as inner:
+                assert inner.deadline is not outer.deadline  # tightened
 
     def test_none_scope_is_transparent(self):
-        with deadline_scope(1.0) as outer:
-            with deadline_scope(None) as inner:
-                assert inner is outer
+        with RequestContext(deadline=1.0) as outer:
+            with RequestContext(deadline=None) as inner:
+                assert inner.deadline is outer.deadline
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
@@ -151,18 +147,18 @@ class TestDeadline:
 
     def test_cooperative_is_passthrough_when_disarmed(self):
         rows = iter(range(10))
-        assert cooperative(rows) is rows
+        assert current_context().cooperative(rows, "executor:scan") is rows
 
     def test_cooperative_raises_on_expiry(self):
-        with deadline_scope(0.001):
+        with RequestContext(deadline=0.001) as context:
             time.sleep(0.005)
             with pytest.raises(QueryTimeout):
-                list(cooperative(iter(range(1000))))
+                list(context.cooperative(iter(range(1000)), "executor:scan"))
 
     def test_tick_fires_fault_site(self):
         INJECTOR.inject("executor:dml", fail=True)
         with pytest.raises(FaultError):
-            tick(0)
+            list(current_context().cooperative(iter([0]), "executor:dml"))
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +214,7 @@ class TestExecutorCancellation:
             "INSERT DATA { ex:author9901 foaf:firstName \"T\" ; "
             "foaf:family_name \"Timeout\" . }"
         )
-        with deadline_scope(1e-7):
+        with RequestContext(deadline=1e-7):
             with pytest.raises(QueryTimeout):
                 session.execute(update)
         assert len(session.query(SCAN_QUERY).solutions) == before
